@@ -88,15 +88,16 @@ fn figure10b() {
 fn bench_sweep(c: &mut Criterion) {
     figure10a();
     figure10b();
-    // Criterion target: candidate-pool construction across D values.
+    // Criterion target: one full-dataset engine ingest across D values.
     let (_, ds) = dlinfma_synth::generate(Preset::DowBJ, Scale::Small, 1);
-    let stays =
-        dlinfma_core::extract_stay_points(&ds, &dlinfma_core::ExtractionConfig::paper_defaults());
-    let mut group = c.benchmark_group("figure10/pool_construction");
+    let batch = dlinfma_core::TripBatch::full(&ds);
+    let mut group = c.benchmark_group("figure10/engine_ingest");
     group.sample_size(10);
     for d in [20.0, 40.0, 60.0] {
+        let mut cfg = DlInfMaConfig::fast();
+        cfg.clustering_distance_m = d;
         group.bench_function(format!("D={d}"), |b| {
-            b.iter(|| dlinfma_core::build_pool(&ds, &stays, d))
+            b.iter(|| dlinfma_core::Engine::new(ds.addresses.clone(), cfg).ingest(&batch))
         });
     }
     group.finish();

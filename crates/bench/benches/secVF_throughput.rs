@@ -1,21 +1,23 @@
 //! Section V-F: pipeline throughput and training-time comparison.
 //!
 //! The paper reports (1) stay-point extraction over 66.1 M points in 7 min
-//! with trajectory-level parallelization, (2) bi-weekly candidate-pool
-//! construction in 1 min, and (3) training times ordered
+//! with trajectory-level parallelization, (2) periodic (bi-weekly)
+//! candidate-pool regeneration in 1 min, and (3) training times ordered
 //! GeoRank < DLInfMA < UNet-based. This bench measures the same quantities
 //! on the synthetic substrate: absolute numbers differ, the ordering and the
-//! parallel speedup are the reproduced shape.
+//! parallel speedup are the reproduced shape. Pool regeneration is the
+//! engine's incremental ingest: one full-dataset ingest is compared with
+//! the same days replayed one at a time.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dlinfma_baselines::{GeoRank, UNetBaseline, UNetConfig};
 use dlinfma_core::{
-    build_pool, build_pool_incremental, extract_stay_points, extract_stay_points_parallel,
-    ExtractionConfig, LocMatcher,
+    extract_stay_points, extract_stay_points_parallel, DlInfMaConfig, Engine, ExtractionConfig,
+    LocMatcher, TripBatch,
 };
 use dlinfma_eval::ExperimentWorld;
 use dlinfma_pool::Pool;
-use dlinfma_synth::{generate, Preset, Scale};
+use dlinfma_synth::{generate, replay, Preset, Scale};
 use std::time::Instant;
 
 fn print_training_comparison() {
@@ -63,12 +65,20 @@ fn bench_pipeline(c: &mut Criterion) {
     });
     group.finish();
 
-    let stays = extract_stay_points(&ds, &cfg);
-    let mut group = c.benchmark_group("secVF/candidate_pool");
+    let engine_cfg = DlInfMaConfig::fast();
+    let mut group = c.benchmark_group("secVF/engine_ingest");
     group.sample_size(10);
-    group.bench_function("one_shot", |b| b.iter(|| build_pool(&ds, &stays, 40.0)));
-    group.bench_function("biweekly_incremental", |b| {
-        b.iter(|| build_pool_incremental(&ds, &stays, 40.0, 14.0 * 86_400.0))
+    group.bench_function("full_dataset", |b| {
+        b.iter(|| {
+            let mut engine = Engine::new(ds.addresses.clone(), engine_cfg);
+            engine.ingest(&TripBatch::full(&ds))
+        })
+    });
+    group.bench_function("daily_replay", |b| {
+        b.iter(|| {
+            let mut engine = Engine::new(ds.addresses.clone(), engine_cfg);
+            replay(&ds).map(|day| engine.ingest(&day)).count()
+        })
     });
     group.finish();
 }

@@ -21,10 +21,12 @@
 //! storm), not a microbenchmark.
 
 use dlinfma_bench::{calibrated_gate, calibration_ns, ensure_writable, percentile_ns};
-use dlinfma_core::{DlInfMaConfig, Engine};
+use dlinfma_core::{DlInfMaConfig, ShardedEngine};
 use dlinfma_obs::{JsonValue, Stopwatch};
 use dlinfma_pool::spawn_service;
-use dlinfma_serve::{replay_and_publish, train_engine_model, HttpClient, ServeConfig, Server};
+use dlinfma_serve::{
+    replay_and_publish_sharded, train_sharded_model, HttpClient, ServeConfig, Server,
+};
 use dlinfma_store::SnapshotCell;
 use dlinfma_synth::{generate, replay, Preset, Scale};
 use std::process::ExitCode;
@@ -172,7 +174,7 @@ fn run() -> Result<(), String> {
     let (_, dataset) = generate(preset, Scale::Tiny, SEED);
     let mut cfg = DlInfMaConfig::fast();
     cfg.model.max_epochs = 3;
-    let engine = Engine::new(dataset.addresses.clone(), cfg);
+    let fleet = ShardedEngine::new(dataset.addresses.clone(), cfg, 1);
     let cell = Arc::new(SnapshotCell::new());
     let mut server =
         Server::start(ServeConfig::default(), Arc::clone(&cell)).map_err(|e| e.to_string())?;
@@ -196,11 +198,11 @@ fn run() -> Result<(), String> {
     let ingest = {
         let cell = Arc::clone(&cell);
         let ds = dataset.clone();
-        let mut engine = engine;
+        let mut fleet = fleet;
         spawn_service("bench-ingest", move || {
-            replay_and_publish(&mut engine, batches, &cell, day_delay_ms, |engine, day| {
+            replay_and_publish_sharded(&mut fleet, batches, &cell, day_delay_ms, 0, |fleet, day| {
                 if day == 2 {
-                    train_engine_model(engine, &ds);
+                    train_sharded_model(fleet, &ds);
                 }
             })
         })

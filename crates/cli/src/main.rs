@@ -15,13 +15,14 @@
 //! Every command accepts `--trace-out FILE` to record a Chrome trace-event
 //! JSON profile of the run (open it at <https://ui.perfetto.dev>).
 
-use dlinfma_core::{snapshot, DlInfMa, DlInfMaConfig, Engine, RestoredEngine};
+use dlinfma_core::{snapshot, DlInfMa, DlInfMaConfig, ShardedEngine, TripBatch};
 use dlinfma_eval::{
     dataset_stats, evaluate, multi_location_building_fraction, pipeline_config,
     render_metrics_table, ExperimentWorld, Method,
 };
 use dlinfma_obs as obs;
 use dlinfma_synth::{generate, AddressId, Preset, Scale};
+use std::path::Path;
 use std::process::ExitCode;
 
 /// Minimal `--flag value` argument map (no external parser dependency).
@@ -216,8 +217,8 @@ fn usage() -> &'static str {
      \x20 stats                    print Table I-style dataset statistics\n\
      \x20 eval      [--all]        train + evaluate methods on the test region\n\
      \x20 infer     --address N    train DLInfMA and infer one address\n\
-     \x20 replay    [--shards N]   stream the dataset day by day through the engine\n\
-     \x20                          (--shards N > 1: fleet mode, one engine per station shard)\n\
+     \x20 replay    [--shards N]   stream the dataset day by day through the fleet\n\
+     \x20                          (one engine per station shard; 1 shard by default)\n\
      \x20           [--snapshot-dir D --checkpoint-every K]  durable checkpoint every K days\n\
      \x20 checkpoint --snapshot-dir D [--shards N]  replay fully, write one checkpoint,\n\
      \x20                          read it back and verify byte-identical re-encode\n\
@@ -277,6 +278,83 @@ fn emit_observability(
         );
     }
     Ok(())
+}
+
+/// Ingests `batches` as days `start_day + 1..`, printing one line per day
+/// and writing a fleet checkpoint every `k` days under `dir` when
+/// `checkpoints` is `Some((dir, k))`; `on_batch` sees each batch before the
+/// fleet does. Returns the day count reached and the summed ingest time.
+fn ingest_days(
+    fleet: &mut ShardedEngine,
+    batches: impl Iterator<Item = TripBatch>,
+    start_day: u32,
+    checkpoints: Option<(&Path, u32)>,
+    mut on_batch: impl FnMut(&TripBatch),
+) -> Result<(u32, u64), String> {
+    let (mut days, mut total_ns) = (start_day, 0u64);
+    for batch in batches {
+        on_batch(&batch);
+        let rep = fleet.ingest(&batch);
+        println!("{}", rep.render_line());
+        days += 1;
+        total_ns += rep.aggregate().total_ns();
+        if let Some((dir, k)) = checkpoints {
+            if days.is_multiple_of(k) {
+                let path = snapshot::write_fleet_checkpoint(dir, days, fleet)
+                    .map_err(|e| e.to_string())?;
+                println!("checkpointed day {days} to {}", path.display());
+            }
+        }
+    }
+    Ok((days, total_ns))
+}
+
+/// `N stays, M candidates, K sampled addresses` — the totals `replay` and
+/// `resume` print.
+fn fleet_totals(fleet: &ShardedEngine) -> String {
+    format!(
+        "{} stays, {} candidates, {} sampled addresses",
+        fleet.n_stays(),
+        fleet.n_candidates(),
+        fleet.merged_samples().len()
+    )
+}
+
+/// What `--metrics-out` records for a fleet: a 1-shard fleet's pipeline
+/// report and ingest health are its engine's own; a fleet of more shards
+/// has one of each per shard and no merged report, so it records neither.
+fn fleet_observability(
+    fleet: &ShardedEngine,
+) -> (Option<obs::PipelineReport>, Option<obs::HealthReport>) {
+    match fleet.shards() {
+        [engine] => (Some(engine.report().clone()), Some(engine.health_report())),
+        _ => (None, None),
+    }
+}
+
+/// Restores the day-`day` checkpoint under `dir` as a fleet (a legacy
+/// single-engine checkpoint becomes a 1-shard fleet), rejecting an
+/// explicit `--shards` that disagrees with it. Returns the fleet and the
+/// days it had ingested.
+fn restore_fleet(
+    args: &Args,
+    dir: &Path,
+    day: u32,
+    dataset: &dlinfma_synth::Dataset,
+    cfg: DlInfMaConfig,
+) -> Result<(ShardedEngine, u32), String> {
+    let cp =
+        snapshot::read_checkpoint(dir, day, &dataset.addresses, cfg).map_err(|e| e.to_string())?;
+    let days = cp.days_ingested;
+    let fleet = cp.into_fleet();
+    let restored = fleet.n_shards();
+    if args.get("shards").is_some() && args.shards()? != restored {
+        return Err(format!(
+            "--shards {} does not match the checkpoint ({restored} shard(s))",
+            args.shards()?
+        ));
+    }
+    Ok((fleet, days))
 }
 
 fn run() -> Result<(), String> {
@@ -377,84 +455,31 @@ fn run() -> Result<(), String> {
             println!("error        {:.1} m", inferred.distance(&truth));
         }
         "replay" => {
-            let shards = args.shards()?;
-            let snapshot_dir = args.get("snapshot-dir");
-            let every = args.checkpoint_every()?;
+            let checkpoints = match (args.get("snapshot-dir"), args.checkpoint_every()?) {
+                (Some(dir), Some(k)) => Some((Path::new(dir), k)),
+                _ => None,
+            };
             let (_, dataset) = generate(preset, scale, seed);
             let store = dlinfma_ststore::TrajectoryStore::new();
-            if shards > 1 {
-                // Fleet mode: one engine per station shard, merged totals.
-                let mut fleet = dlinfma_core::ShardedEngine::new(
-                    dataset.addresses.clone(),
-                    args.pipeline_cfg(preset)?,
-                    shards,
-                );
-                let mut days = 0u64;
-                let mut total_ns = 0u64;
-                for batch in dlinfma_synth::replay(&dataset) {
-                    store.ingest_batch(&batch);
-                    let rep = fleet.ingest(&batch);
-                    println!("{}", rep.render_line());
-                    days += 1;
-                    total_ns += rep.aggregate().total_ns();
-                    if let (Some(dir), Some(k)) = (snapshot_dir, every) {
-                        if days.is_multiple_of(u64::from(k)) {
-                            let path = snapshot::write_fleet_checkpoint(
-                                std::path::Path::new(dir),
-                                days as u32,
-                                &fleet,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            println!("checkpointed day {days} to {}", path.display());
-                        }
-                    }
-                }
-                println!(
-                    "replayed {days} days across {shards} shards: {} stays, {} candidates, \
-                     {} sampled addresses ({:.3} ms total ingest; store holds {} fixes, \
-                     {} waybills)",
-                    fleet.n_stays(),
-                    fleet.n_candidates(),
-                    fleet.merged_samples().len(),
-                    total_ns as f64 / 1e6,
-                    store.n_fixes(),
-                    store.n_waybills()
-                );
-            } else {
-                let mut engine = Engine::new(dataset.addresses.clone(), args.pipeline_cfg(preset)?);
-                let mut days = 0u64;
-                let mut total_ns = 0u64;
-                for batch in dlinfma_synth::replay(&dataset) {
-                    store.ingest_batch(&batch);
-                    let rep = engine.ingest(&batch);
-                    println!("{}", rep.render_line());
-                    days += 1;
-                    total_ns += rep.total_ns();
-                    if let (Some(dir), Some(k)) = (snapshot_dir, every) {
-                        if days.is_multiple_of(u64::from(k)) {
-                            let path = snapshot::write_engine_checkpoint(
-                                std::path::Path::new(dir),
-                                days as u32,
-                                &engine,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            println!("checkpointed day {days} to {}", path.display());
-                        }
-                    }
-                }
-                println!(
-                    "replayed {days} days: {} stays, {} candidates, {} sampled addresses \
-                     ({:.3} ms total ingest; store holds {} fixes, {} waybills)",
-                    engine.n_stays(),
-                    engine.pool().len(),
-                    engine.samples().count(),
-                    total_ns as f64 / 1e6,
-                    store.n_fixes(),
-                    store.n_waybills()
-                );
-                report = Some(engine.report().clone());
-                health = Some(engine.health_report());
-            }
+            let mut fleet = ShardedEngine::new(
+                dataset.addresses.clone(),
+                args.pipeline_cfg(preset)?,
+                args.shards()?,
+            );
+            let replayed = dlinfma_synth::replay(&dataset);
+            let (days, total_ns) = ingest_days(&mut fleet, replayed, 0, checkpoints, |b| {
+                store.ingest_batch(b)
+            })?;
+            println!(
+                "replayed {days} days across {} shard(s): {} ({:.3} ms total ingest; store holds \
+                 {} fixes, {} waybills)",
+                fleet.n_shards(),
+                fleet_totals(&fleet),
+                total_ns as f64 / 1e6,
+                store.n_fixes(),
+                store.n_waybills()
+            );
+            (report, health) = fleet_observability(&fleet);
         }
         "checkpoint" => {
             // Cheap durable-format round trip: replay everything, write one
@@ -463,44 +488,22 @@ fn run() -> Result<(), String> {
             let dir = args
                 .get("snapshot-dir")
                 .ok_or("checkpoint needs --snapshot-dir DIR")?;
-            let dir_path = std::path::Path::new(dir);
-            let shards = args.shards()?;
+            let dir_path = Path::new(dir);
             let (_, dataset) = generate(preset, scale, seed);
             let cfg = args.pipeline_cfg(preset)?;
-            let mut days = 0u32;
-            let written = if shards > 1 {
-                let mut fleet =
-                    dlinfma_core::ShardedEngine::new(dataset.addresses.clone(), cfg, shards);
-                for batch in dlinfma_synth::replay(&dataset) {
-                    fleet.ingest(&batch);
-                    days += 1;
-                }
-                let path = snapshot::write_fleet_checkpoint(dir_path, days, &fleet)
-                    .map_err(|e| e.to_string())?;
-                let originals: Vec<Vec<u8>> = (0..shards)
-                    .map(|s| snapshot::engine_to_bytes(fleet.shard(s)))
-                    .collect();
-                (path, originals)
-            } else {
-                let mut engine = Engine::new(dataset.addresses.clone(), cfg);
-                for batch in dlinfma_synth::replay(&dataset) {
-                    engine.ingest(&batch);
-                    days += 1;
-                }
-                let path = snapshot::write_engine_checkpoint(dir_path, days, &engine)
-                    .map_err(|e| e.to_string())?;
-                (path, vec![snapshot::engine_to_bytes(&engine)])
-            };
-            let (path, originals) = written;
-            let restored = snapshot::read_checkpoint(dir_path, days, &dataset.addresses, cfg)
+            let mut fleet = ShardedEngine::new(dataset.addresses.clone(), cfg, args.shards()?);
+            for batch in dlinfma_synth::replay(&dataset) {
+                fleet.ingest(&batch);
+            }
+            let days = fleet.days_ingested();
+            let path = snapshot::write_fleet_checkpoint(dir_path, days, &fleet)
                 .map_err(|e| e.to_string())?;
-            let reencoded: Vec<Vec<u8>> = match &restored.engine {
-                RestoredEngine::Single(e) => vec![snapshot::engine_to_bytes(e)],
-                RestoredEngine::Fleet(f) => (0..f.n_shards())
-                    .map(|s| snapshot::engine_to_bytes(f.shard(s)))
-                    .collect(),
+            let (restored, _) = restore_fleet(&args, dir_path, days, &dataset, cfg)?;
+            let shard_bytes = |f: &ShardedEngine| -> Vec<Vec<u8>> {
+                f.shards().iter().map(snapshot::engine_to_bytes).collect()
             };
-            if originals != reencoded {
+            let originals = shard_bytes(&fleet);
+            if originals != shard_bytes(&restored) {
                 return Err(format!(
                     "checkpoint round trip is not byte-identical at {}",
                     path.display()
@@ -508,7 +511,8 @@ fn run() -> Result<(), String> {
             }
             let total: usize = originals.iter().map(Vec::len).sum();
             println!(
-                "checkpoint verified: day {days}, {shards} shard(s), {total} snapshot bytes at {}",
+                "checkpoint verified: day {days}, {} shard(s), {total} snapshot bytes at {}",
+                fleet.n_shards(),
                 path.display()
             );
         }
@@ -516,7 +520,7 @@ fn run() -> Result<(), String> {
             let dir = args
                 .get("snapshot-dir")
                 .ok_or("resume needs --snapshot-dir DIR")?;
-            let dir_path = std::path::Path::new(dir);
+            let dir_path = Path::new(dir);
             let every = args.checkpoint_every()?;
             let (_, dataset) = generate(preset, scale, seed);
             let cfg = args.pipeline_cfg(preset)?;
@@ -528,83 +532,34 @@ fn run() -> Result<(), String> {
                     .map_err(|e| e.to_string())?
                     .ok_or_else(|| format!("no checkpoint under '{dir}'"))?,
             };
-            let cp = snapshot::read_checkpoint(dir_path, day, &dataset.addresses, cfg)
-                .map_err(|e| e.to_string())?;
-            let restored_shards = match &cp.engine {
-                RestoredEngine::Single(_) => 1,
-                RestoredEngine::Fleet(f) => f.n_shards(),
-            };
-            if args.get("shards").is_some() && args.shards()? != restored_shards {
-                return Err(format!(
-                    "--shards {} does not match the checkpoint ({restored_shards} shard(s))",
-                    args.shards()?
-                ));
-            }
-            println!("resumed from day-{day} checkpoint under {dir} ({restored_shards} shard(s))");
-            let remaining = dlinfma_synth::replay(&dataset).skip(cp.days_ingested as usize);
-            let mut days = u64::from(cp.days_ingested);
-            match cp.engine {
-                RestoredEngine::Single(mut engine) => {
-                    for batch in remaining {
-                        let rep = engine.ingest(&batch);
-                        println!("{}", rep.render_line());
-                        days += 1;
-                        if let Some(k) = every {
-                            if days.is_multiple_of(u64::from(k)) {
-                                let path = snapshot::write_engine_checkpoint(
-                                    dir_path,
-                                    days as u32,
-                                    &engine,
-                                )
-                                .map_err(|e| e.to_string())?;
-                                println!("checkpointed day {days} to {}", path.display());
-                            }
-                        }
-                    }
-                    println!(
-                        "resumed at day {day}, {days} days total: {} stays, {} candidates, \
-                         {} sampled addresses",
-                        engine.n_stays(),
-                        engine.pool().len(),
-                        engine.samples().count(),
-                    );
-                    report = Some(engine.report().clone());
-                    health = Some(engine.health_report());
-                }
-                RestoredEngine::Fleet(mut fleet) => {
-                    for batch in remaining {
-                        let rep = fleet.ingest(&batch);
-                        println!("{}", rep.render_line());
-                        days += 1;
-                        if let Some(k) = every {
-                            if days.is_multiple_of(u64::from(k)) {
-                                let path =
-                                    snapshot::write_fleet_checkpoint(dir_path, days as u32, &fleet)
-                                        .map_err(|e| e.to_string())?;
-                                println!("checkpointed day {days} to {}", path.display());
-                            }
-                        }
-                    }
-                    println!(
-                        "resumed at day {day}, {days} days total: {} stays, {} candidates, \
-                         {} sampled addresses",
-                        fleet.n_stays(),
-                        fleet.n_candidates(),
-                        fleet.merged_samples().len(),
-                    );
-                }
-            }
+            let (mut fleet, start_day) = restore_fleet(&args, dir_path, day, &dataset, cfg)?;
+            println!(
+                "resumed from day-{day} checkpoint under {dir} ({} shard(s))",
+                fleet.n_shards()
+            );
+            let remaining = dlinfma_synth::replay(&dataset).skip(start_day as usize);
+            let checkpoints = every.map(|k| (dir_path, k));
+            let (days, _) = ingest_days(&mut fleet, remaining, start_day, checkpoints, |_| {})?;
+            println!(
+                "resumed at day {day}, {days} days total: {}",
+                fleet_totals(&fleet)
+            );
+            (report, health) = fleet_observability(&fleet);
         }
         "health" => {
+            // A fleet's day totals do not depend on its shard count
+            // (timings aside), so health runs one shard, whatever --shards
+            // says, and reports that engine's own monitor.
             let (_, dataset) = generate(preset, scale, seed);
-            let mut engine = Engine::new(dataset.addresses.clone(), args.pipeline_cfg(preset)?);
+            let mut fleet =
+                ShardedEngine::new(dataset.addresses.clone(), args.pipeline_cfg(preset)?, 1);
             for batch in dlinfma_synth::replay(&dataset) {
-                engine.ingest(&batch);
+                fleet.ingest(&batch);
             }
-            let h = engine.health_report();
-            print!("{}", h.render());
-            report = Some(engine.report().clone());
-            health = Some(h);
+            (report, health) = fleet_observability(&fleet);
+            if let Some(h) = &health {
+                print!("{}", h.render());
+            }
         }
         "geojson" => {
             let out = args.get("out").ok_or("geojson needs --out FILE")?;
@@ -629,50 +584,30 @@ fn run() -> Result<(), String> {
             let pipeline_cfg = args.pipeline_cfg(preset)?;
 
             // Warm restart: restore the latest checkpoint when one exists
-            // under --snapshot-dir. The restored shape (single vs fleet,
-            // shard count) wins; an explicit conflicting --shards errors.
-            let warm = match args.get("snapshot-dir") {
+            // under --snapshot-dir. The restored shard count wins; an
+            // explicit conflicting --shards errors.
+            let dir = args.get("snapshot-dir");
+            let latest = match dir {
+                Some(d) => snapshot::latest_checkpoint(Path::new(d)).map_err(|e| e.to_string())?,
                 None => None,
-                Some(dir) => {
-                    let dir_path = std::path::Path::new(dir);
-                    match snapshot::latest_checkpoint(dir_path).map_err(|e| e.to_string())? {
-                        None => {
-                            println!("no checkpoint under {dir}; cold start");
-                            None
-                        }
-                        Some(day) => {
-                            let cp = snapshot::read_checkpoint(
-                                dir_path,
-                                day,
-                                &dataset.addresses,
-                                pipeline_cfg,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            let restored_shards = match &cp.engine {
-                                RestoredEngine::Single(_) => 1,
-                                RestoredEngine::Fleet(f) => f.n_shards(),
-                            };
-                            if args.get("shards").is_some() && shards != restored_shards {
-                                return Err(format!(
-                                    "--shards {shards} does not match the checkpoint \
-                                     ({restored_shards} shard(s))"
-                                ));
-                            }
-                            println!(
-                                "warm restart: restored day-{day} checkpoint under {dir} \
-                                 ({restored_shards} shard(s))"
-                            );
-                            Some(cp)
-                        }
-                    }
-                }
             };
-            let shards = match &warm {
-                Some(cp) => match &cp.engine {
-                    RestoredEngine::Single(_) => 1,
-                    RestoredEngine::Fleet(f) => f.n_shards(),
-                },
-                None => shards,
+            let (mut fleet, start_day) = match (dir, latest) {
+                (Some(dir), Some(day)) => {
+                    let restored =
+                        restore_fleet(&args, Path::new(dir), day, &dataset, pipeline_cfg)?;
+                    println!(
+                        "warm restart: restored day-{day} checkpoint under {dir} ({} shard(s))",
+                        restored.0.n_shards()
+                    );
+                    restored
+                }
+                _ => {
+                    if let Some(dir) = dir {
+                        println!("no checkpoint under {dir}; cold start");
+                    }
+                    let cold = ShardedEngine::new(dataset.addresses.clone(), pipeline_cfg, shards);
+                    (cold, 0)
+                }
             };
             let cell = std::sync::Arc::new(dlinfma_store::SnapshotCell::new());
             let cfg = dlinfma_serve::ServeConfig {
@@ -682,112 +617,50 @@ fn run() -> Result<(), String> {
             let mut server = dlinfma_serve::Server::start(cfg, std::sync::Arc::clone(&cell))
                 .map_err(|e| format!("bind 127.0.0.1:{port}: {e}"))?;
             println!(
-                "serving on http://{} ({} addresses, {shards} shard(s); \
+                "serving on http://{} ({} addresses, {} shard(s); \
                  model trains after day {train_days})",
                 server.addr(),
-                dataset.addresses.len()
+                dataset.addresses.len(),
+                fleet.n_shards()
             );
-
-            /// What the ingest thread hands back at join: whichever engine
-            /// shape it drove, plus the last published epoch.
-            enum IngestResult {
-                Single(Box<Engine>, u64),
-                Fleet(Box<dlinfma_core::ShardedEngine>, u64),
-            }
 
             // Background ingest: one epoch per replayed day. On a warm
             // restart only the days past the checkpoint replay, with
             // absolute day numbers, and the restored state publishes
             // immediately so lookups answer before the first new day
-            // lands. The engine moves into the service thread and comes
-            // back at join.
-            let start_day = warm.as_ref().map_or(0, |cp| cp.days_ingested);
+            // lands. The fleet moves into the service thread and comes
+            // back at join, with the last published epoch.
             let batches: Vec<_> = dlinfma_synth::replay(&dataset)
                 .skip(start_day as usize)
                 .collect();
             let n_days = batches.len();
-
-            /// The pipeline shape the ingest thread drives — restored from
-            /// a checkpoint or built cold.
-            enum PipelineState {
-                Single(Box<Engine>),
-                Fleet(Box<dlinfma_core::ShardedEngine>),
-            }
-            let state = match warm {
-                Some(cp) => match cp.engine {
-                    RestoredEngine::Single(e) => PipelineState::Single(e),
-                    RestoredEngine::Fleet(f) => PipelineState::Fleet(f),
-                },
-                None if shards > 1 => {
-                    PipelineState::Fleet(Box::new(dlinfma_core::ShardedEngine::new(
-                        dataset.addresses.clone(),
-                        pipeline_cfg,
-                        shards,
-                    )))
-                }
-                None => PipelineState::Single(Box::new(Engine::new(
-                    dataset.addresses.clone(),
-                    pipeline_cfg,
-                ))),
-            };
-
             let ingest = {
                 let cell = std::sync::Arc::clone(&cell);
                 let dataset = dataset.clone();
-                dlinfma_pool::spawn_service("cli-ingest", move || match state {
-                    PipelineState::Fleet(mut fleet) => {
-                        let mut warm_epoch = 0u64;
-                        if start_day > 0 {
-                            if start_day >= train_days && fleet.model().is_none() {
-                                let n = dlinfma_serve::train_sharded_model(&mut fleet, &dataset);
-                                println!(
-                                    "warm restart: trained fleet model on {n} labelled samples"
-                                );
-                            }
-                            warm_epoch =
-                                dlinfma_serve::publish_sharded_snapshot(&fleet, &cell, start_day);
+                dlinfma_pool::spawn_service("cli-ingest", move || {
+                    let mut warm_epoch = 0u64;
+                    if start_day > 0 {
+                        if start_day >= train_days && fleet.model().is_none() {
+                            let n = dlinfma_serve::train_sharded_model(&mut fleet, &dataset);
+                            println!("warm restart: trained model on {n} labelled samples");
                         }
-                        let epoch = dlinfma_serve::replay_and_publish_sharded_from(
-                            &mut fleet,
-                            batches,
-                            &cell,
-                            day_delay_ms,
-                            start_day,
-                            |fleet, day| {
-                                if day == train_days {
-                                    let n = dlinfma_serve::train_sharded_model(fleet, &dataset);
-                                    println!(
-                                        "day {day}: trained fleet model on {n} labelled samples"
-                                    );
-                                }
-                            },
-                        );
-                        IngestResult::Fleet(fleet, if epoch == 0 { warm_epoch } else { epoch })
+                        warm_epoch =
+                            dlinfma_serve::publish_sharded_snapshot(&fleet, &cell, start_day);
                     }
-                    PipelineState::Single(mut engine) => {
-                        let mut warm_epoch = 0u64;
-                        if start_day > 0 {
-                            if start_day >= train_days && engine.model().is_none() {
-                                let n = dlinfma_serve::train_engine_model(&mut engine, &dataset);
-                                println!("warm restart: trained model on {n} labelled samples");
+                    let epoch = dlinfma_serve::replay_and_publish_sharded(
+                        &mut fleet,
+                        batches,
+                        &cell,
+                        day_delay_ms,
+                        start_day,
+                        |fleet, day| {
+                            if day == train_days {
+                                let n = dlinfma_serve::train_sharded_model(fleet, &dataset);
+                                println!("day {day}: trained model on {n} labelled samples");
                             }
-                            warm_epoch = dlinfma_serve::publish_snapshot(&engine, &cell, start_day);
-                        }
-                        let epoch = dlinfma_serve::replay_and_publish_from(
-                            &mut engine,
-                            batches,
-                            &cell,
-                            day_delay_ms,
-                            start_day,
-                            |engine, day| {
-                                if day == train_days {
-                                    let n = dlinfma_serve::train_engine_model(engine, &dataset);
-                                    println!("day {day}: trained model on {n} labelled samples");
-                                }
-                            },
-                        );
-                        IngestResult::Single(engine, if epoch == 0 { warm_epoch } else { epoch })
-                    }
+                        },
+                    );
+                    (fleet, if epoch == 0 { warm_epoch } else { epoch })
                 })
             };
 
@@ -827,10 +700,7 @@ fn run() -> Result<(), String> {
                 );
             }
 
-            let result = ingest.join().map_err(|_| "ingest thread panicked")?;
-            let final_epoch = match &result {
-                IngestResult::Single(_, e) | IngestResult::Fleet(_, e) => *e,
-            };
+            let (fleet, final_epoch) = ingest.join().map_err(|_| "ingest thread panicked")?;
             println!("ingest complete: {n_days} days, final epoch {final_epoch}");
             if serve_ms > 0 {
                 std::thread::sleep(std::time::Duration::from_millis(serve_ms));
@@ -846,19 +716,12 @@ fn run() -> Result<(), String> {
                 "served {} requests ({} errors) over {} connections",
                 stats.requests, stats.errors, stats.connections
             );
-            match result {
-                IngestResult::Single(engine, _) => {
-                    report = Some(engine.report().clone());
-                    health = Some(engine.health_report());
-                }
-                IngestResult::Fleet(fleet, _) => {
-                    println!(
-                        "fleet: {} shards, per-shard epochs {:?}",
-                        fleet.n_shards(),
-                        fleet.shard_epochs()
-                    );
-                }
-            }
+            println!(
+                "fleet: {} shard(s), per-shard epochs {:?}",
+                fleet.n_shards(),
+                fleet.shard_epochs()
+            );
+            (report, health) = fleet_observability(&fleet);
         }
         other => return Err(format!("unknown command '{other}'\n{}", usage())),
     }

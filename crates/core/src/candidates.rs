@@ -1,4 +1,4 @@
-//! Candidate pool construction (pipeline step III-B).
+//! Candidate pool types (pipeline step III-B).
 //!
 //! All couriers' stay points are clustered with centroid-linkage
 //! hierarchical clustering under a distance threshold `D` (paper default
@@ -9,16 +9,14 @@
 //! The pool also remembers, per trip, which candidates the trip visited and
 //! when — the raw material for candidate retrieval and the TC/LC features.
 //!
-//! Construction can be *incremental*: the deployed system generates
-//! candidates bi-weekly and merges new batches into the existing pool with
-//! the same clustering process ([`IncrementalPoolBuilder`]).
+//! The engine's [`PoolState`](crate::stages::PoolState) builds and updates
+//! the pool incrementally as batches arrive (the deployed system's periodic
+//! regeneration, Section V-F) and materializes it as a [`CandidatePool`]
+//! after every ingest.
 
-use crate::staypoints::TripStays;
-use dlinfma_cluster::{merge_weighted, WeightedPoint};
 use dlinfma_detcol::OrdSet;
 use dlinfma_geo::{KdTree, Point};
-use dlinfma_pool::Pool;
-use dlinfma_synth::{CourierId, Dataset, TripId};
+use dlinfma_synth::{CourierId, TripId};
 
 /// Identifier of a location candidate within a [`CandidatePool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -176,465 +174,70 @@ pub(crate) fn hour_bin(t: f64) -> usize {
     ((secs_of_day / 3_600.0) as usize).min(TIME_BINS - 1)
 }
 
-/// Builds candidate pools, either in one shot or batch by batch (the
-/// deployed bi-weekly mode).
-#[derive(Debug, Default)]
-pub struct IncrementalPoolBuilder {
-    aggs: Vec<Agg>,
-    /// Per inserted stay point: current aggregate index.
-    sp_assign: Vec<usize>,
-    /// Per inserted stay point: originating trip and mid-time.
-    sp_meta: Vec<(TripId, f64)>,
-}
-
-impl IncrementalPoolBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of candidates after the batches merged so far.
-    pub fn n_candidates(&self) -> usize {
-        self.aggs.len()
-    }
-
-    /// Merges a batch of per-trip stay points into the pool, clustering new
-    /// stays together with the existing candidates under threshold
-    /// `distance_threshold` (the paper's `D`).
-    ///
-    /// `courier_of` maps a trip to its courier (profiles count distinct
-    /// couriers).
-    pub fn add_batch(
-        &mut self,
-        batch: &[TripStays],
-        courier_of: &dyn Fn(TripId) -> CourierId,
-        distance_threshold: f64,
-    ) {
-        let n_old = self.aggs.len();
-        // Items: existing aggregates first, then the new stay points.
-        let mut items: Vec<WeightedPoint> = self
-            .aggs
-            .iter()
-            .map(|a| WeightedPoint {
-                pos: a.pos,
-                weight: a.weight,
-            })
-            .collect();
-        let mut new_aggs: Vec<Agg> = Vec::new();
-        let mut new_meta: Vec<(TripId, f64)> = Vec::new();
-        for ts in batch {
-            let courier = courier_of(ts.trip);
-            for sp in &ts.stays {
-                items.push(WeightedPoint::unit(sp.pos));
-                new_aggs.push(Agg::from_stay(
-                    sp.pos,
-                    sp.duration(),
-                    courier,
-                    hour_bin(sp.mid_time()),
-                ));
-                new_meta.push((ts.trip, sp.mid_time()));
-            }
-        }
-
-        let clusters = merge_weighted(&items, distance_threshold);
-
-        // Fold members into fresh aggregates and remap assignments.
-        let mut next_aggs: Vec<Agg> = Vec::with_capacity(clusters.len());
-        let mut old_remap = vec![usize::MAX; n_old];
-        let mut new_remap = vec![usize::MAX; new_aggs.len()];
-        for cluster in &clusters {
-            let idx = next_aggs.len();
-            let mut agg: Option<Agg> = None;
-            for &m in &cluster.members {
-                let part = if m < n_old {
-                    old_remap[m] = idx;
-                    &self.aggs[m]
-                } else {
-                    let j = m - n_old;
-                    new_remap[j] = idx;
-                    &new_aggs[j]
-                };
-                match &mut agg {
-                    Some(a) => a.merge_into(part),
-                    None => agg = Some(part.clone()),
-                }
-            }
-            let Some(mut agg) = agg else { continue };
-            agg.pos = cluster.centroid;
-            next_aggs.push(agg);
-        }
-
-        for a in &mut self.sp_assign {
-            *a = old_remap[*a];
-        }
-        self.sp_assign.extend(new_remap.iter().copied());
-        self.sp_meta.extend(new_meta);
-        self.aggs = next_aggs;
-        debug_assert!(self.sp_assign.iter().all(|&a| a != usize::MAX));
-    }
-
-    /// Finalizes the pool. `n_trips` sizes the per-trip visit table (trips
-    /// with no stay points get empty visit lists).
-    pub fn finish(self, n_trips: usize) -> CandidatePool {
-        let candidates: Vec<LocationCandidate> = self
-            .aggs
-            .iter()
-            .enumerate()
-            .map(|(i, a)| LocationCandidate {
-                id: CandidateId(i as u32),
-                pos: a.pos,
-                profile: a.profile(),
-            })
-            .collect();
-
-        let mut trip_visits: Vec<Vec<(CandidateId, f64)>> = vec![Vec::new(); n_trips];
-        for (&(trip, t), &agg) in self.sp_meta.iter().zip(&self.sp_assign) {
-            trip_visits[trip.0 as usize].push((CandidateId(agg as u32), t));
-        }
-        for visits in &mut trip_visits {
-            visits.sort_by(|a, b| a.1.total_cmp(&b.1));
-        }
-
-        let kdtree = KdTree::build(candidates.iter().map(|c| (c.pos, c.id)).collect());
-        CandidatePool {
-            candidates,
-            trip_visits,
-            kdtree,
-        }
-    }
-}
-
-/// One-shot pool construction from all trips of a dataset.
-pub fn build_pool(
-    dataset: &Dataset,
-    stays: &[TripStays],
-    distance_threshold: f64,
-) -> CandidatePool {
-    let mut builder = IncrementalPoolBuilder::new();
-    builder.add_batch(
-        stays,
-        &|trip| dataset.trip(trip).courier,
-        distance_threshold,
-    );
-    builder.finish(dataset.trips.len())
-}
-
-/// Grid-merging pool construction (the DLInfMA-Grid ablation): stay points
-/// are bucketed into `cell_size x cell_size` squares and each occupied cell
-/// becomes a candidate. The paper shows this yields *more* candidates than
-/// hierarchical clustering because stays of one physical location can
-/// straddle a cell boundary.
-pub fn build_pool_grid(dataset: &Dataset, stays: &[TripStays], cell_size: f64) -> CandidatePool {
-    // Flatten stays with their metadata.
-    let mut flat: Vec<(TripId, f64, f64, usize)> = Vec::new(); // trip, mid_time, duration, hour bin
-    let mut positions: Vec<Point> = Vec::new();
-    let mut couriers: Vec<CourierId> = Vec::new();
-    for ts in stays {
-        let courier = dataset.trip(ts.trip).courier;
-        for sp in &ts.stays {
-            flat.push((
-                ts.trip,
-                sp.mid_time(),
-                sp.duration(),
-                hour_bin(sp.mid_time()),
-            ));
-            positions.push(sp.pos);
-            couriers.push(courier);
-        }
-    }
-    let clusters = dlinfma_cluster::grid_clusters(&positions, cell_size);
-
-    let mut builder = IncrementalPoolBuilder::new();
-    for cluster in &clusters {
-        let mut agg: Option<Agg> = None;
-        for &m in &cluster.members {
-            let (_, _, duration, bin) = flat[m];
-            let part = Agg::from_stay(positions[m], duration, couriers[m], bin);
-            match &mut agg {
-                Some(a) => a.merge_into(&part),
-                None => agg = Some(part),
-            }
-        }
-        let Some(mut agg) = agg else { continue };
-        agg.pos = cluster.centroid;
-        let idx = builder.aggs.len();
-        builder.aggs.push(agg);
-        for &m in &cluster.members {
-            // sp_assign/sp_meta are appended per member in cluster order; the
-            // final pool only needs the stay -> candidate mapping.
-            builder.sp_assign.push(idx);
-            builder.sp_meta.push((flat[m].0, flat[m].1));
-        }
-    }
-    builder.finish(dataset.trips.len())
-}
-
-/// Station-parallel construction (Section V-F): each station's stay points
-/// are clustered on its own worker, then the per-station pools are merged
-/// with the same clustering process. Stations own disjoint regions, so the
-/// cross-station merge mostly concatenates.
-pub fn build_pool_station_parallel(
-    dataset: &Dataset,
-    stays: &[TripStays],
-    distance_threshold: f64,
-    pool: &Pool,
-) -> CandidatePool {
-    // Partition per-trip stays by station.
-    let n_stations = dataset.stations.len().max(1);
-    let mut per_station: Vec<Vec<TripStays>> = vec![Vec::new(); n_stations];
-    for ts in stays {
-        let s = (dataset.trip(ts.trip).station.0 as usize).min(n_stations - 1);
-        per_station[s].push(ts.clone());
-    }
-
-    // Cluster each station independently on the shared pool; results come
-    // back in station order, so the merge below is deterministic.
-    let builders = pool.par_map(&per_station, |batch| {
-        let mut b = IncrementalPoolBuilder::new();
-        b.add_batch(
-            batch,
-            &|trip| dataset.trip(trip).courier,
-            distance_threshold,
-        );
-        b
-    });
-
-    // Merge station pools: one more clustering pass over all aggregates.
-    let mut merged = IncrementalPoolBuilder::new();
-    for b in builders {
-        let offset = merged.aggs.len();
-        merged.aggs.extend(b.aggs);
-        merged
-            .sp_assign
-            .extend(b.sp_assign.iter().map(|&a| a + offset));
-        merged.sp_meta.extend(b.sp_meta);
-    }
-    // Re-cluster the concatenated aggregates under the same threshold so
-    // border locations shared by two stations collapse.
-    let items: Vec<WeightedPoint> = merged
-        .aggs
-        .iter()
-        .map(|a| WeightedPoint {
-            pos: a.pos,
-            weight: a.weight,
-        })
-        .collect();
-    let clusters = merge_weighted(&items, distance_threshold);
-    let mut next_aggs: Vec<Agg> = Vec::with_capacity(clusters.len());
-    let mut remap = vec![usize::MAX; merged.aggs.len()];
-    for cluster in &clusters {
-        let idx = next_aggs.len();
-        let mut agg: Option<Agg> = None;
-        for &m in &cluster.members {
-            remap[m] = idx;
-            match &mut agg {
-                Some(a) => a.merge_into(&merged.aggs[m]),
-                None => agg = Some(merged.aggs[m].clone()),
-            }
-        }
-        let Some(mut agg) = agg else { continue };
-        agg.pos = cluster.centroid;
-        next_aggs.push(agg);
-    }
-    for a in &mut merged.sp_assign {
-        *a = remap[*a];
-    }
-    merged.aggs = next_aggs;
-    merged.finish(dataset.trips.len())
-}
-
-/// Bi-weekly incremental construction: trips are batched by `batch_len_s`
-/// windows of their start time and merged window by window, mirroring the
-/// deployment.
-pub fn build_pool_incremental(
-    dataset: &Dataset,
-    stays: &[TripStays],
-    distance_threshold: f64,
-    batch_len_s: f64,
-) -> CandidatePool {
-    assert!(batch_len_s > 0.0, "batch length must be positive");
-    let mut order: Vec<&TripStays> = stays.iter().collect();
-    order.sort_by(|a, b| {
-        dataset
-            .trip(a.trip)
-            .t_start
-            .total_cmp(&dataset.trip(b.trip).t_start)
-    });
-    let mut builder = IncrementalPoolBuilder::new();
-    let mut batch: Vec<TripStays> = Vec::new();
-    let mut window_start: Option<f64> = None;
-    for ts in order {
-        let t = dataset.trip(ts.trip).t_start;
-        let ws = *window_start.get_or_insert(t);
-        if t - ws >= batch_len_s && !batch.is_empty() {
-            builder.add_batch(
-                &batch,
-                &|trip| dataset.trip(trip).courier,
-                distance_threshold,
-            );
-            batch.clear();
-            window_start = Some(t);
-        }
-        batch.push(ts.clone());
-    }
-    if !batch.is_empty() {
-        builder.add_batch(
-            &batch,
-            &|trip| dataset.trip(trip).courier,
-            distance_threshold,
-        );
-    }
-    builder.finish(dataset.trips.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::staypoints::{extract_stay_points, ExtractionConfig};
-    use dlinfma_synth::{generate, Preset, Scale};
+    use crate::{DlInfMaConfig, ShardedEngine};
+    use dlinfma_synth::{generate_with, world_config, Dataset, Preset, Scale, TripBatch};
 
-    fn world() -> (dlinfma_synth::City, Dataset, Vec<TripStays>) {
-        let (city, ds) = generate(Preset::DowBJ, Scale::Tiny, 0);
-        let stays = extract_stay_points(&ds, &ExtractionConfig::paper_defaults());
-        (city, ds, stays)
+    /// A three-station Tiny world fed to a fleet with one shard per
+    /// station, so each shard's pool is exactly one station's candidates.
+    fn station_pools() -> (dlinfma_synth::City, Dataset, ShardedEngine) {
+        let mut wc = world_config(Preset::DowBJ, Scale::Tiny);
+        wc.sim.n_stations = 3;
+        let (city, ds) = generate_with(&wc, 0);
+        let mut fleet = ShardedEngine::new(ds.addresses.clone(), DlInfMaConfig::fast(), 3);
+        fleet.ingest(&TripBatch::full(&ds));
+        (city, ds, fleet)
     }
 
     #[test]
-    fn pool_has_candidates_with_valid_profiles() {
-        let (_, ds, stays) = world();
-        let pool = build_pool(&ds, &stays, 40.0);
-        assert!(!pool.is_empty());
-        for c in pool.candidates() {
-            assert!(c.profile.avg_duration_s > 0.0);
-            assert!(c.profile.n_couriers >= 1);
-            assert!(c.profile.n_stays >= 1);
-            let sum: f64 = c.profile.time_distribution.iter().sum();
-            assert!((sum - 1.0).abs() < 1e-9, "time distribution sums to {sum}");
-        }
-    }
-
-    #[test]
-    fn candidate_ids_are_dense_and_positions_separated() {
-        let (_, ds, stays) = world();
-        let d = 40.0;
-        let pool = build_pool(&ds, &stays, d);
-        for (i, c) in pool.candidates().iter().enumerate() {
-            assert_eq!(c.id.0 as usize, i);
-        }
-        for i in 0..pool.len() {
-            for j in (i + 1)..pool.len() {
-                let dist = pool.candidates()[i].pos.distance(&pool.candidates()[j].pos);
-                assert!(dist >= d - 1e-6, "candidates {i},{j} only {dist}m apart");
+    fn station_pools_are_valid_separated_and_visited_once_per_stay() {
+        let (_, _, fleet) = station_pools();
+        let d = fleet.config().clustering_distance_m;
+        assert!(fleet.n_candidates() > 0);
+        for shard in fleet.shards() {
+            let pool = shard.pool();
+            for (i, c) in pool.candidates().iter().enumerate() {
+                assert_eq!(c.id.0 as usize, i, "dense ids");
+                assert!(c.profile.avg_duration_s > 0.0);
+                assert!(c.profile.n_couriers >= 1 && c.profile.n_stays >= 1);
+                let sum: f64 = c.profile.time_distribution.iter().sum();
+                assert!((sum - 1.0).abs() < 1e-9, "time distribution sums to {sum}");
+                // Within one station, centroid linkage leaves no two
+                // candidates closer than `D`.
+                for b in &pool.candidates()[i + 1..] {
+                    let dist = c.pos.distance(&b.pos);
+                    assert!(dist >= d - 1e-6, "{:?},{:?} only {dist}m apart", c.id, b.id);
+                }
             }
-        }
-    }
-
-    #[test]
-    fn trip_visits_are_chronological_and_reference_valid_candidates() {
-        let (_, ds, stays) = world();
-        let pool = build_pool(&ds, &stays, 40.0);
-        assert_eq!(pool.n_trips(), ds.trips.len());
-        let mut total = 0;
-        for t in &ds.trips {
-            let visits = pool.visits(t.id);
-            total += visits.len();
-            for w in visits.windows(2) {
-                assert!(w[0].1 <= w[1].1);
+            let mut n_visits = 0;
+            for t in 0..pool.n_trips() {
+                let visits = pool.visits(TripId(t as u32));
+                n_visits += visits.len();
+                assert!(visits.windows(2).all(|w| w[0].1 <= w[1].1), "chronological");
+                assert!(visits.iter().all(|&(c, _)| (c.0 as usize) < pool.len()));
             }
-            for &(c, _) in visits {
-                assert!((c.0 as usize) < pool.len());
-            }
+            assert_eq!(n_visits, shard.n_stays(), "one visit per stay");
         }
-        let n_stays: usize = stays.iter().map(|s| s.stays.len()).sum();
-        assert_eq!(total, n_stays, "every stay maps to exactly one visit");
     }
 
     #[test]
     fn deliveries_produce_candidates_near_true_locations() {
-        let (city, ds, stays) = world();
-        let pool = build_pool(&ds, &stays, 40.0);
-        // Most delivered addresses should have a candidate within ~30 m of
-        // their true delivery location.
-        let delivered: std::collections::HashSet<u32> =
-            ds.waybills.iter().map(|w| w.address.0).collect();
-        let mut near = 0;
-        for &aid in &delivered {
-            let gt = city.addresses[aid as usize].true_delivery_location;
-            if let Some((_, d)) = pool.nearest(&gt) {
-                if d < 30.0 {
-                    near += 1;
-                }
-            }
-        }
+        let (city, ds, fleet) = station_pools();
+        let delivered: OrdSet<u32> = ds.waybills.iter().map(|w| w.address.0).collect();
+        let near = delivered
+            .iter()
+            .filter(|&&a| {
+                let gt = city.addresses[a as usize].true_delivery_location;
+                let mut nearest = fleet.shards().iter().filter_map(|e| e.pool().nearest(&gt));
+                nearest.any(|(_, d)| d < 30.0)
+            })
+            .count();
         assert!(
             near * 10 >= delivered.len() * 8,
             "{near}/{} addresses have a nearby candidate",
             delivered.len()
         );
-    }
-
-    #[test]
-    fn incremental_build_matches_one_shot_scale() {
-        let (_, ds, stays) = world();
-        let one_shot = build_pool(&ds, &stays, 40.0);
-        let incremental = build_pool_incremental(&ds, &stays, 40.0, 2.0 * 86_400.0);
-        // Incremental merging can differ slightly at cluster boundaries but
-        // must be the same order of magnitude and preserve visit counts.
-        let total_visits = |p: &CandidatePool| -> usize {
-            (0..p.n_trips())
-                .map(|i| p.visits(TripId(i as u32)).len())
-                .sum()
-        };
-        assert_eq!(total_visits(&one_shot), total_visits(&incremental));
-        let ratio = incremental.len() as f64 / one_shot.len() as f64;
-        assert!(
-            (0.7..1.5).contains(&ratio),
-            "incremental {} vs one-shot {}",
-            incremental.len(),
-            one_shot.len()
-        );
-    }
-
-    #[test]
-    fn station_parallel_matches_one_shot_scale() {
-        // A two-station world: per-station clustering plus the border merge
-        // must preserve every visit and land near the one-shot pool size.
-        let (_, ds) = generate(Preset::DowBJ, Scale::Small, 5);
-        let stays = crate::staypoints::extract_stay_points(
-            &ds,
-            &crate::staypoints::ExtractionConfig::paper_defaults(),
-        );
-        assert!(ds.stations.len() >= 2, "need a multi-station world");
-        let one_shot = build_pool(&ds, &stays, 40.0);
-        let par = build_pool_station_parallel(&ds, &stays, 40.0, &Pool::new(4));
-        let total_visits = |p: &CandidatePool| -> usize {
-            (0..p.n_trips())
-                .map(|i| p.visits(TripId(i as u32)).len())
-                .sum()
-        };
-        assert_eq!(total_visits(&one_shot), total_visits(&par));
-        let ratio = par.len() as f64 / one_shot.len() as f64;
-        assert!(
-            (0.8..1.3).contains(&ratio),
-            "{} vs {}",
-            par.len(),
-            one_shot.len()
-        );
-        for c in par.candidates() {
-            assert!(c.profile.n_stays >= 1);
-        }
-    }
-
-    #[test]
-    fn empty_dataset_pool() {
-        let ds = Dataset {
-            addresses: vec![],
-            trips: vec![],
-            waybills: vec![],
-            stations: vec![],
-        };
-        let pool = build_pool(&ds, &[], 40.0);
-        assert!(pool.is_empty());
-        assert!(pool.nearest(&Point::ZERO).is_none());
     }
 }

@@ -11,8 +11,8 @@
 //!   addresses with new waybills plus addresses referencing a candidate
 //!   whose member set changed ([`stages::SampleTable`]);
 //! * the classic batch artifacts ([`CandidatePool`], [`AddressSample`]s)
-//!   are materialized after every ingest, so [`Engine::infer`] serves
-//!   between ingests and `DlInfMa::prepare` is just one big ingest.
+//!   are materialized after every ingest, so a fleet built from engines
+//!   serves between ingests and `DlInfMa::prepare` is just one big ingest.
 //!
 //! Streaming the same trips day by day or ingesting them in one batch
 //! yields identical artifacts — see `DESIGN.md` for why each invalidation
@@ -27,10 +27,11 @@ use crate::candidates::{hour_bin, CandidateId, CandidatePool, LocationCandidate}
 use crate::features::{AddressSample, CandidateFeatures};
 use crate::locmatcher::LocMatcher;
 use crate::pipeline::DlInfMaConfig;
-use crate::stages::{PoolState, RawSample, RetrievalIndex, SampleTable, StayPointSet, StayRec};
+use crate::stages::{
+    AddressEvidence, PoolState, RawSample, RetrievalIndex, SampleTable, StayPointSet, StayRec,
+};
 use crate::staypoints::extract_batch_with_stats;
 use dlinfma_detcol::OrdMap;
-use dlinfma_geo::Point;
 use dlinfma_obs::{
     self as obs, names, stage, HealthMonitor, HealthReport, IngestReport, PipelineReport,
 };
@@ -108,11 +109,11 @@ impl Engine {
     /// An empty engine over a known address universe.
     ///
     /// The model's feature switches are forced into lockstep with the
-    /// engine's feature switches, like the batch pipeline does.
+    /// engine's feature switches.
     ///
     /// # Panics
     /// Panics if `cfg.clustering_distance_m` is not strictly positive and
-    /// finite (the clustering contract, identical to the batch path).
+    /// finite (the clustering contract).
     pub fn new(addresses: Vec<Address>, cfg: DlInfMaConfig) -> Self {
         let workers = cfg.workers;
         Self::with_executor(addresses, cfg, Arc::new(Pool::new(workers)))
@@ -124,7 +125,7 @@ impl Engine {
     ///
     /// # Panics
     /// Panics if `cfg.clustering_distance_m` is not strictly positive and
-    /// finite (the clustering contract, identical to the batch path).
+    /// finite (the clustering contract).
     pub fn with_executor(addresses: Vec<Address>, cfg: DlInfMaConfig, exec: Arc<Pool>) -> Self {
         let mut cfg = cfg;
         cfg.model.features = cfg.features;
@@ -645,6 +646,13 @@ impl Engine {
         self.samples.values()
     }
 
+    /// The delivery evidence of an address — its trips and the
+    /// recorded-time bound in each — or `None` when no waybill for it was
+    /// ingested.
+    pub fn evidence(&self, addr: AddressId) -> Option<AddressEvidence> {
+        self.retrieval.evidence(addr)
+    }
+
     /// The engine's address universe.
     pub fn addresses(&self) -> &[Address] {
         &self.addresses
@@ -670,8 +678,8 @@ impl Engine {
         &self.report
     }
 
-    /// Installs an externally-trained model so [`Engine::infer`] can serve
-    /// between ingests.
+    /// Installs an externally-trained model; it travels with the engine's
+    /// snapshot and into `DlInfMa::from_engine`.
     pub fn set_model(&mut self, model: LocMatcher) {
         self.model = Some(model);
     }
@@ -681,14 +689,16 @@ impl Engine {
         self.model.as_ref()
     }
 
-    /// Inferred delivery location of an address, or `None` when the address
-    /// was never delivered, has no candidates, or no model is installed.
-    pub fn infer(&self, addr: AddressId) -> Option<Point> {
-        let _span = obs::span(stage::INFERENCE);
-        let sample = self.samples.get(&addr)?;
-        let model = self.model.as_ref()?;
-        let idx = model.predict(sample)?;
-        Some(self.pool.candidate(sample.candidates[idx]).pos)
+    /// Removes and returns the installed model (a legacy single-engine
+    /// checkpoint's model moving up to its fleet).
+    pub(crate) fn take_model(&mut self) -> Option<LocMatcher> {
+        self.model.take()
+    }
+
+    /// The shared worker pool handle, for fleets adopting this engine as a
+    /// shard.
+    pub(crate) fn exec_handle(&self) -> Arc<Pool> {
+        Arc::clone(&self.exec)
     }
 
     /// Borrowed view of the staged state a snapshot persists; consumed by

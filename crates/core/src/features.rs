@@ -10,17 +10,16 @@
 //! * **Address features** — number of deliveries and the geocoder's POI
 //!   category.
 //!
-//! [`FeatureConfig`] switches individual families off for the paper's
-//! ablations (DLInfMA-nTC / -nD / -nP / -nLC) and swaps the building-level
-//! LC for the address-level variant (DLInfMA-LC_addr).
+//! The [`Engine`](crate::Engine) computes them: raw integer counts per
+//! dirty address at ingest, finalized against station-scoped normalizers
+//! when samples are materialized. [`FeatureConfig`] switches individual
+//! families off for the paper's ablations (DLInfMA-nTC / -nD / -nP / -nLC)
+//! and swaps the building-level LC for the address-level variant
+//! (DLInfMA-LC_addr).
 
 use crate::candidates::{CandidateId, CandidatePool, TIME_BINS};
-use crate::retrieval::{retrieve_candidates, AddressEvidence};
-use dlinfma_detcol::{OrdMap, OrdSet};
 use dlinfma_geo::Point;
-use dlinfma_synth::{AddressId, BuildingId, Dataset, StationId, TripId};
-use std::cmp::Reverse;
-use std::collections::{HashMap, HashSet};
+use dlinfma_synth::{AddressId, StationId};
 
 /// Which features to extract; all on by default.
 #[derive(Debug, Clone, Copy)]
@@ -182,279 +181,101 @@ pub struct AddressSample {
     pub truth_distances: Option<Vec<f64>>,
 }
 
-/// Precomputed inverted indexes shared by all feature computations.
-pub struct FeatureExtractor<'a> {
-    dataset: &'a Dataset,
-    pool: &'a CandidatePool,
-    cfg: FeatureConfig,
-    /// Trips passing through each candidate (unfiltered `L_tr` membership).
-    cand_trips: Vec<HashSet<TripId>>,
-    /// Trips involving each building.
-    building_trips: HashMap<BuildingId, HashSet<TripId>>,
-    /// Trips involving each address.
-    address_trips: HashMap<AddressId, HashSet<TripId>>,
-    n_trips: usize,
-}
-
-impl<'a> FeatureExtractor<'a> {
-    /// Builds the inverted indexes.
-    pub fn new(dataset: &'a Dataset, pool: &'a CandidatePool, cfg: FeatureConfig) -> Self {
-        let mut cand_trips: Vec<HashSet<TripId>> = vec![HashSet::new(); pool.len()];
-        for trip in &dataset.trips {
-            for &(c, _) in pool.visits(trip.id) {
-                cand_trips[c.0 as usize].insert(trip.id);
-            }
-        }
-        let mut building_trips: HashMap<BuildingId, HashSet<TripId>> = HashMap::new();
-        let mut address_trips: HashMap<AddressId, HashSet<TripId>> = HashMap::new();
-        for w in &dataset.waybills {
-            let building = dataset.address(w.address).building;
-            building_trips.entry(building).or_default().insert(w.trip);
-            address_trips.entry(w.address).or_default().insert(w.trip);
-        }
-        Self {
-            dataset,
-            pool,
-            cfg,
-            cand_trips,
-            building_trips,
-            address_trips,
-            n_trips: dataset.trips.len(),
-        }
-    }
-
-    /// The feature configuration in effect.
-    pub fn config(&self) -> &FeatureConfig {
-        &self.cfg
-    }
-
-    /// Trip coverage of candidate `cand` for the trips in `addr_trips`
-    /// (Equation 1).
-    fn trip_coverage(&self, cand: CandidateId, addr_trips: &OrdSet<TripId>) -> f64 {
-        if addr_trips.is_empty() {
-            return 0.0;
-        }
-        let hits = addr_trips
+impl AddressSample {
+    /// Labels the sample with its candidate nearest the ground-truth
+    /// delivery location `truth` (supervised labelling, Section V-A) and
+    /// records every candidate's distance to it in `truth_distances`.
+    ///
+    /// Candidates at a non-finite distance (degenerate ground-truth points)
+    /// are never selected; a sample whose distances are all non-finite is
+    /// left unlabelled.
+    pub fn label_nearest(&mut self, pool: &CandidatePool, truth: &Point) {
+        let distances: Vec<f64> = self
+            .candidates
             .iter()
-            .filter(|t| self.cand_trips[cand.0 as usize].contains(t))
-            .count();
-        hits as f64 / addr_trips.len() as f64
-    }
-
-    /// Location commonality of `cand` for an address (Equation 2): the
-    /// fraction of trips *not* involving the address's building (or, in the
-    /// ablation, the address itself) that pass through the candidate.
-    fn location_commonality(&self, cand: CandidateId, address: AddressId) -> f64 {
-        let exclude: &HashSet<TripId> = if self.cfg.lc_address_level {
-            self.address_trips.get(&address).unwrap_or(&EMPTY_TRIPS)
-        } else {
-            let building = self.dataset.address(address).building;
-            self.building_trips.get(&building).unwrap_or(&EMPTY_TRIPS)
-        };
-        let denom = self.n_trips - exclude.len();
-        if denom == 0 {
-            return 0.0;
-        }
-        let cand_set = &self.cand_trips[cand.0 as usize];
-        let num = cand_set.len() - cand_set.iter().filter(|t| exclude.contains(t)).count();
-        num as f64 / denom as f64
-    }
-
-    /// Full features for one `(address, candidate)` pair given the address's
-    /// trip set.
-    fn candidate_features(
-        &self,
-        address: AddressId,
-        cand: CandidateId,
-        addr_trips: &OrdSet<TripId>,
-    ) -> CandidateFeatures {
-        let c = self.pool.candidate(cand);
-        let geocode = self.dataset.address(address).geocode;
-        CandidateFeatures {
-            trip_coverage: if self.cfg.use_trip_coverage {
-                self.trip_coverage(cand, addr_trips)
-            } else {
-                0.0
-            },
-            location_commonality: if self.cfg.use_location_commonality {
-                self.location_commonality(cand, address)
-            } else {
-                0.0
-            },
-            distance_m: if self.cfg.use_distance {
-                c.pos.distance(&geocode)
-            } else {
-                0.0
-            },
-            avg_duration_s: c.profile.avg_duration_s,
-            n_couriers: c.profile.n_couriers as f64,
-            n_stays: c.profile.n_stays as f64,
-            time_distribution: c.profile.time_distribution,
-        }
-    }
-
-    /// Builds the full [`AddressSample`] for one address (unlabelled).
-    pub fn sample(&self, evidence: &AddressEvidence) -> AddressSample {
-        self.sample_with_candidates(evidence, retrieve_candidates(self.pool, evidence))
-    }
-
-    /// [`FeatureExtractor::sample`] with an already-retrieved candidate set,
-    /// so callers can time (and count) retrieval separately from feature
-    /// computation.
-    pub fn sample_with_candidates(
-        &self,
-        evidence: &AddressEvidence,
-        candidates: Vec<CandidateId>,
-    ) -> AddressSample {
-        let addr_trips: OrdSet<TripId> = evidence.trips.iter().map(|&(t, _)| t).collect();
-        // Primary station of the evidence: most distinct trips, tie-break
-        // smallest id — the same rule the engine's retrieval stage applies.
-        let mut per_station: OrdMap<StationId, u32> = OrdMap::new();
-        for &t in &addr_trips {
-            *per_station.entry(self.dataset.trip(t).station).or_insert(0) += 1;
-        }
-        let station = per_station
-            .iter()
-            .max_by_key(|&(&s, &c)| (c, Reverse(s)))
-            .map_or(StationId(0), |(&s, _)| s);
-        let features = candidates
-            .iter()
-            .map(|&c| self.candidate_features(evidence.address, c, &addr_trips))
+            .map(|c| pool.candidate(*c).pos.distance(truth))
             .collect();
-        let a = self.dataset.address(evidence.address);
-        AddressSample {
-            address: evidence.address,
-            station,
-            candidates,
-            features,
-            n_deliveries: evidence.trips.len(),
-            poi_category: a.poi_category,
-            geocode: a.geocode,
-            label: None,
-            truth_distances: None,
-        }
+        self.label = distances
+            .iter()
+            .enumerate()
+            .filter(|(_, d)| d.is_finite())
+            .min_by(|(_, a), (_, b)| a.total_cmp(b))
+            .map(|(i, _)| i);
+        self.truth_distances = Some(distances);
     }
 }
-
-static EMPTY_TRIPS: std::sync::LazyLock<HashSet<TripId>> = std::sync::LazyLock::new(HashSet::new);
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::candidates::build_pool;
-    use crate::retrieval::collect_evidence;
-    use crate::staypoints::{extract_stay_points, ExtractionConfig};
-    use dlinfma_synth::{generate, Preset, Scale};
+    use crate::{DlInfMaConfig, Engine};
+    use dlinfma_synth::{generate, Dataset, DeliverySpotKind, Preset, Scale, TripBatch};
 
-    fn world() -> (
-        dlinfma_synth::City,
-        Dataset,
-        CandidatePool,
-        Vec<AddressEvidence>,
-    ) {
-        let (city, ds) = generate(Preset::DowBJ, Scale::Tiny, 0);
-        let stays = extract_stay_points(&ds, &ExtractionConfig::paper_defaults());
-        let pool = build_pool(&ds, &stays, 40.0);
-        let ev = collect_evidence(&ds);
-        (city, ds, pool, ev)
+    /// One-station Tiny world (seed 0) ingested in one batch under `features`.
+    fn engine(ds: &Dataset, features: FeatureConfig) -> Engine {
+        let mut cfg = DlInfMaConfig::fast();
+        cfg.workers = 2;
+        cfg.features = features;
+        let mut engine = Engine::new(ds.addresses.clone(), cfg);
+        engine.ingest(&TripBatch::full(ds));
+        engine
     }
 
+    /// Every feature is bounded and finite, and trip coverage follows the
+    /// paper's Figure 5 arithmetic against the pool's visit records: a
+    /// candidate visited by all of the address's trips has TC = 1, one
+    /// visited by 2 of 3 trips has 2/3.
     #[test]
-    fn features_are_bounded_and_finite() {
-        let (_, ds, pool, ev) = world();
-        let fx = FeatureExtractor::new(&ds, &pool, FeatureConfig::default());
-        for e in &ev {
-            let s = fx.sample(e);
+    fn features_are_bounded_and_trip_coverage_matches_figure5() {
+        let (_, ds) = generate(Preset::DowBJ, Scale::Tiny, 0);
+        let engine = engine(&ds, FeatureConfig::default());
+        let (cfg, pool) = (engine.config().features, engine.pool());
+        let mut multi_delivery = 0;
+        for s in engine.samples() {
             assert_eq!(s.candidates.len(), s.features.len());
-            for f in &s.features {
-                assert!(
-                    (0.0..=1.0).contains(&f.trip_coverage),
-                    "TC {}",
-                    f.trip_coverage
-                );
-                assert!(
-                    (0.0..=1.0).contains(&f.location_commonality),
-                    "LC {}",
-                    f.location_commonality
-                );
+            let ev = engine.evidence(s.address).expect("sampled address");
+            assert_eq!(ev.trips.len(), s.n_deliveries, "one station");
+            multi_delivery += usize::from(s.n_deliveries >= 2);
+            for (c, f) in s.candidates.iter().zip(&s.features) {
+                for x in [f.trip_coverage, f.location_commonality] {
+                    assert!((0.0..=1.0).contains(&x), "TC/LC {x}");
+                }
                 assert!(f.distance_m >= 0.0 && f.distance_m.is_finite());
                 assert!(f.avg_duration_s > 0.0);
-                let v = f.to_vec(fx.config());
-                assert_eq!(v.len(), CandidateFeatures::vec_len(fx.config()));
+                let v = f.to_vec(&cfg);
+                assert_eq!(v.len(), CandidateFeatures::vec_len(&cfg));
                 assert!(v.iter().all(|x| x.is_finite()));
+                let visited = |&&(t, _): &&(_, f64)| pool.visits(t).iter().any(|v| v.0 == *c);
+                let manual = ev.trips.iter().filter(visited).count() as f64 / ev.trips.len() as f64;
+                assert!((f.trip_coverage - manual).abs() < 1e-12);
+                assert!(f.trip_coverage > 0.0, "retrieved candidates are visited");
             }
         }
-    }
-
-    /// The paper's Figure 5 scenario: candidates visited by all of the
-    /// address's trips have TC = 1; one visited by 2 of 3 trips has 2/3.
-    #[test]
-    fn trip_coverage_matches_figure5_arithmetic() {
-        let (_, ds, pool, ev) = world();
-        let fx = FeatureExtractor::new(&ds, &pool, FeatureConfig::default());
-        // Find an address with >= 2 trips and verify TC arithmetic directly
-        // against the inverted index.
-        let e = ev
-            .iter()
-            .find(|e| e.trips.len() >= 2)
-            .expect("some address has multiple deliveries");
-        let s = fx.sample(e);
-        let addr_trips: OrdSet<TripId> = e.trips.iter().map(|&(t, _)| t).collect();
-        for (c, f) in s.candidates.iter().zip(&s.features) {
-            let manual = addr_trips
-                .iter()
-                .filter(|&&t| pool.visits(t).iter().any(|&(cc, _)| cc == *c))
-                .count() as f64
-                / addr_trips.len() as f64;
-            assert!((f.trip_coverage - manual).abs() < 1e-12);
-            assert!(f.trip_coverage > 0.0, "retrieved candidates are visited");
-        }
+        assert!(multi_delivery > 0, "some address has multiple deliveries");
     }
 
     /// The paper's Figure 6 argument: a common corridor location visited by
     /// everyone has high LC; the address's own doorstep has low LC.
     #[test]
     fn location_commonality_separates_corridors_from_doorsteps() {
-        let (city, ds, pool, ev) = world();
-        let fx = FeatureExtractor::new(&ds, &pool, FeatureConfig::default());
-        // For each address with a near-truth candidate, compare its LC with
-        // the max LC among retrieved candidates — the doorstep should not be
-        // the most common location on average.
-        let mut doorstep_lc = Vec::new();
-        let mut max_lc = Vec::new();
-        for e in &ev {
-            let gt = city.addresses[e.address.0 as usize].true_delivery_location;
-            let s = fx.sample(e);
-            if s.candidates.is_empty() {
+        let (city, ds) = generate(Preset::DowBJ, Scale::Tiny, 0);
+        let engine = engine(&ds, FeatureConfig::default());
+        let pool = engine.pool();
+        let (mut doorstep_lc, mut max_lc) = (Vec::new(), Vec::new());
+        for s in engine.samples() {
+            let truth = &city.addresses[s.address.0 as usize];
+            let mut labelled = s.clone();
+            labelled.label_nearest(pool, &truth.true_delivery_location);
+            // Skip lockers and receptions (legitimately common) and
+            // doorsteps no candidate comes within 30 m of.
+            let distances = labelled.truth_distances.unwrap_or_default();
+            let near = labelled.label.filter(|&i| distances[i] <= 30.0);
+            let (Some(i), DeliverySpotKind::Doorstep) = (near, truth.true_spot_kind) else {
                 continue;
-            }
-            let nearest = s
-                .candidates
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| {
-                    pool.candidate(**a)
-                        .pos
-                        .distance(&gt)
-                        .total_cmp(&pool.candidate(**b).pos.distance(&gt))
-                })
-                .map(|(i, _)| i)
-                .unwrap();
-            if pool.candidate(s.candidates[nearest]).pos.distance(&gt) > 30.0 {
-                continue;
-            }
-            if city.addresses[e.address.0 as usize].true_spot_kind
-                != dlinfma_synth::DeliverySpotKind::Doorstep
-            {
-                continue; // lockers/receptions are legitimately common
-            }
-            doorstep_lc.push(s.features[nearest].location_commonality);
-            max_lc.push(
-                s.features
-                    .iter()
-                    .map(|f| f.location_commonality)
-                    .fold(0.0, f64::max),
-            );
+            };
+            doorstep_lc.push(s.features[i].location_commonality);
+            let lc = s.features.iter().map(|f| f.location_commonality);
+            max_lc.push(lc.fold(0.0, f64::max));
         }
         assert!(!doorstep_lc.is_empty());
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
@@ -486,29 +307,23 @@ mod tests {
     }
 
     #[test]
-    fn address_level_lc_is_at_least_building_level() {
-        // Excluding fewer trips (address < building) leaves more trips in
-        // the denominator and numerator; the variant must still be bounded
-        // and generally differ.
-        let (_, ds, pool, ev) = world();
-        let fx_b = FeatureExtractor::new(&ds, &pool, FeatureConfig::default());
-        let fx_a = FeatureExtractor::new(
-            &ds,
-            &pool,
-            FeatureConfig {
-                lc_address_level: true,
-                ..FeatureConfig::default()
-            },
-        );
+    fn address_level_lc_differs_from_building_level() {
+        // Excluding fewer trips (address < building) changes both the
+        // numerator and the denominator; the variant must stay bounded and
+        // differ somewhere, over the same candidate sets.
+        let (_, ds) = generate(Preset::DowBJ, Scale::Tiny, 0);
+        let address_level = FeatureConfig {
+            lc_address_level: true,
+            ..FeatureConfig::default()
+        };
+        let building = engine(&ds, FeatureConfig::default());
+        let address = engine(&ds, address_level);
         let mut any_diff = false;
-        for e in ev.iter().take(30) {
-            let sb = fx_b.sample(e);
-            let sa = fx_a.sample(e);
+        for (sb, sa) in building.samples().zip(address.samples()) {
+            assert_eq!(sb.candidates, sa.candidates);
             for (fb, fa) in sb.features.iter().zip(&sa.features) {
                 assert!((0.0..=1.0).contains(&fa.location_commonality));
-                if (fb.location_commonality - fa.location_commonality).abs() > 1e-12 {
-                    any_diff = true;
-                }
+                any_diff |= (fb.location_commonality - fa.location_commonality).abs() > 1e-12;
             }
         }
         assert!(any_diff, "LC variants should differ somewhere");

@@ -7,46 +7,42 @@
 //! implemented end to end:
 //!
 //! 1. **Location candidate generation** — [`staypoints`] extracts stay
-//!    points from noise-filtered trajectories; [`candidates`] clusters them
-//!    into a profiled candidate pool (one-shot or bi-weekly incremental);
-//!    [`retrieval`] filters per-address candidates with the recorded
-//!    delivery time as a temporal upper bound.
-//! 2. **Delivery location discovery** — [`features`] computes the matching
+//!    points from noise-filtered trajectories; [`candidates`] holds the
+//!    profiled candidate pool the engine clusters them into; retrieval
+//!    filters per-address candidates with the recorded delivery time as a
+//!    temporal upper bound ([`stages::RetrievalIndex`]).
+//! 2. **Delivery location discovery** — [`features`] defines the matching
 //!    (trip coverage, location commonality, distance), profile and address
 //!    features; [`locmatcher`] selects the delivery location with a
 //!    transformer encoder over all candidates jointly plus an additive
 //!    attention conditioned on the address context.
 //!
-//! [`DlInfMa`] in [`pipeline`] wires both components into the public batch
-//! API. Underneath, the pipeline is an incremental staged [`Engine`]
-//! ([`engine`], [`stages`]): trips stream in as per-day
-//! [`TripBatch`]es, each stage's artifact updates in place, and only dirty
-//! addresses are re-retrieved and re-featurized. `DlInfMa::prepare` is one
-//! big ingest over that engine, so batch and streaming stay bit-for-bit
-//! equal.
+//! The staged [`Engine`] ([`engine`], [`stages`]) is the only code that
+//! builds samples: trips stream in as per-day [`TripBatch`]es, each stage's
+//! artifact updates in place, and only dirty addresses are re-retrieved and
+//! re-featurized. [`DlInfMa`] in [`pipeline`] is the batch API over one
+//! engine (`DlInfMa::prepare` is one big ingest, bit-for-bit equal to
+//! streaming the same days), and [`ShardedEngine`] runs one engine per
+//! station shard behind one serving surface — the shape the store, the
+//! serving layer and the CLI drive.
 
 pub mod candidates;
 pub mod engine;
 pub mod features;
 pub mod locmatcher;
 pub mod pipeline;
-pub mod retrieval;
 pub mod sharded;
 pub mod snapshot;
 pub mod stages;
 pub mod staypoints;
 
-pub use candidates::{
-    build_pool, build_pool_grid, build_pool_incremental, build_pool_station_parallel, CandidateId,
-    CandidatePool, IncrementalPoolBuilder, LocationCandidate, LocationProfile, TIME_BINS,
-};
+pub use candidates::{CandidateId, CandidatePool, LocationCandidate, LocationProfile, TIME_BINS};
 pub use dlinfma_params as params;
 pub use dlinfma_synth::TripBatch;
 pub use engine::Engine;
-pub use features::{AddressSample, CandidateFeatures, FeatureConfig, FeatureExtractor};
+pub use features::{AddressSample, CandidateFeatures, FeatureConfig};
 pub use locmatcher::{LocMatcher, LocMatcherConfig, TrainReport};
 pub use pipeline::{DlInfMa, DlInfMaConfig, PoolMethod};
-pub use retrieval::{collect_evidence, retrieve_candidates, AddressEvidence};
 pub use sharded::ShardedEngine;
 pub use snapshot::{Checkpoint, RestoredEngine, SnapshotError};
 pub use staypoints::{

@@ -142,27 +142,13 @@ impl DlInfMa {
     }
 
     /// Labels every sample with the candidate nearest to the ground-truth
-    /// delivery location provided by `gt` (supervised-learning labelling per
-    /// Section V-A).
-    ///
-    /// Candidates at a non-finite distance from the truth (degenerate
-    /// ground-truth points) are never selected as the label; a sample whose
-    /// distances are all non-finite stays unlabelled.
+    /// delivery location provided by `gt` ([`AddressSample::label_nearest`],
+    /// supervised-learning labelling per Section V-A).
     pub fn label_with(&mut self, gt: &dyn Fn(AddressId) -> Option<Point>) {
         for (addr, sample) in &mut self.samples {
-            let Some(truth) = gt(*addr) else { continue };
-            let distances: Vec<f64> = sample
-                .candidates
-                .iter()
-                .map(|c| self.pool.candidate(*c).pos.distance(&truth))
-                .collect();
-            sample.label = distances
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| d.is_finite())
-                .min_by(|(_, a), (_, b)| a.total_cmp(b))
-                .map(|(i, _)| i);
-            sample.truth_distances = Some(distances);
+            if let Some(truth) = gt(*addr) {
+                sample.label_nearest(&self.pool, &truth);
+            }
         }
         self.report.funnel.samples_labelled =
             self.samples.values().filter(|s| s.label.is_some()).count() as u64;

@@ -260,15 +260,11 @@ impl ShardedEngine {
             .collect()
     }
 
-    /// Labels the merged samples against the dataset's ground truth (each
-    /// sample's label is its candidate nearest the true delivery location,
-    /// skipping non-finite distances), trains a [`LocMatcher`] on the given
+    /// Labels the merged samples against the dataset's ground truth
+    /// ([`AddressSample::label_nearest`], the same rule as
+    /// `DlInfMa::label_with`), trains a [`LocMatcher`] on the given
     /// train/validation address ids, and installs it as the fleet model.
     /// Returns the number of labelled samples.
-    ///
-    /// This mirrors the serve layer's single-engine training recipe, so a
-    /// 1-shard fleet trains the bit-identical model a plain [`Engine`]
-    /// setup would.
     pub fn train_with(
         &mut self,
         dataset: &Dataset,
@@ -285,22 +281,8 @@ impl ShardedEngine {
         for (shard, s) in self.merged_samples() {
             let mut sample = s.clone();
             if let Some(truth) = truths.get(&sample.address) {
-                let pool = self.shards[shard].pool();
-                let distances: Vec<f64> = sample
-                    .candidates
-                    .iter()
-                    .map(|c| pool.candidate(*c).pos.distance(truth))
-                    .collect();
-                sample.label = distances
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, d)| d.is_finite())
-                    .min_by(|(_, a), (_, b)| a.total_cmp(b))
-                    .map(|(i, _)| i);
-                sample.truth_distances = Some(distances);
-                if sample.label.is_some() {
-                    labelled += 1;
-                }
+                sample.label_nearest(self.shards[shard].pool(), truth);
+                labelled += usize::from(sample.label.is_some());
             }
             samples.insert(sample.address, sample);
         }

@@ -26,10 +26,11 @@
 //! <snapshot-dir>/day-00003/shard-0001.snap
 //! ```
 //!
-//! A single (unsharded) engine is the `n_shards = 1` special case of the
-//! same layout. Checkpoints are written to a hidden temporary directory
-//! and atomically renamed into place, so readers never observe a
-//! half-written day.
+//! A legacy single-engine checkpoint ([`write_engine_checkpoint`]) is the
+//! `n_shards = 1` special case of the same layout;
+//! [`Checkpoint::into_fleet`] restores it as a 1-shard fleet. Checkpoints
+//! are written to a hidden temporary directory and atomically renamed into
+//! place, so readers never observe a half-written day.
 
 use crate::engine::{Engine, EngineSnapState};
 use crate::locmatcher::LocMatcher;
@@ -601,6 +602,28 @@ pub struct Checkpoint {
     pub days_ingested: u32,
     /// The restored pipeline, ready to keep ingesting or serve.
     pub engine: RestoredEngine,
+}
+
+impl Checkpoint {
+    /// The restored pipeline as a fleet. A legacy single-engine checkpoint
+    /// becomes a 1-shard fleet: the engine's model moves up to the fleet
+    /// and each of its trips is recorded as routed to shard 0, so the
+    /// result re-encodes exactly like a 1-shard fleet that ingested the
+    /// same days.
+    pub fn into_fleet(self) -> ShardedEngine {
+        let days = self.days_ingested;
+        match self.engine {
+            RestoredEngine::Fleet(fleet) => *fleet,
+            RestoredEngine::Single(mut engine) => {
+                let model = engine.take_model();
+                // lint: allow(L9, collected into the routing hash map: visit order cannot matter)
+                let trips = engine.snap_state().trip_station.keys();
+                let trip_shard = trips.map(|&t| (t, 0)).collect();
+                let (exec, shards) = (engine.exec_handle(), vec![*engine]);
+                ShardedEngine::from_restored(shards, exec, model, days, vec![days], trip_shard)
+            }
+        }
+    }
 }
 
 /// Days with a checkpoint under `dir`, ascending. Ignores files and

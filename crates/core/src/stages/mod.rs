@@ -1,7 +1,7 @@
 //! Typed per-stage artifacts of the incremental engine.
 //!
-//! [`Engine`](crate::Engine) decomposes the monolithic batch pipeline into
-//! four artifacts, each owning one stage's accumulated state and knowing how
+//! [`Engine`](crate::Engine) decomposes the DLInfMA pipeline into four
+//! artifacts, each owning one stage's accumulated state and knowing how
 //! to update itself from a streamed batch:
 //!
 //! * [`StayPointSet`] — every stay point ever ingested, plus the
@@ -28,6 +28,6 @@ pub mod sample_table;
 pub mod staypoint_set;
 
 pub use pool::{PoolDelta, PoolState};
-pub use retrieval_index::RetrievalIndex;
+pub use retrieval_index::{AddressEvidence, RetrievalIndex};
 pub use sample_table::{RawSample, SampleTable};
 pub use staypoint_set::{StayPointSet, StayRec};

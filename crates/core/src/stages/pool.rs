@@ -1,11 +1,10 @@
 //! Incremental candidate-pool state with stable cluster keys.
 //!
-//! The batch pipeline's centroid-linkage clustering is order-*dependent*:
-//! merging day-batches through the bi-weekly
-//! [`IncrementalPoolBuilder`](crate::IncrementalPoolBuilder) path drifts
-//! from the one-shot pool (measurably: different cluster counts, centroids
-//! tens of meters apart). The engine instead makes the pool a deterministic
-//! function of the *accumulated stay-point set*:
+//! Centroid-linkage clustering is order-*dependent*: merging each new
+//! batch of stays into the previous batches' clusters drifts from
+//! clustering everything at once (measurably: different cluster counts,
+//! centroids tens of meters apart). The engine instead makes the pool a
+//! deterministic function of the *accumulated stay-point set*:
 //!
 //! 1. stays are partitioned into radius-`D` connected components (an
 //!    order-independent graph property, maintained by [`StayPointSet`]);

@@ -1,14 +1,17 @@
 //! Incremental per-address delivery evidence.
 //!
-//! The batch pipeline derives retrieval evidence and the feature
-//! normalization indexes from the frozen dataset
-//! ([`collect_evidence`](crate::collect_evidence) and
-//! [`FeatureExtractor`](crate::FeatureExtractor)'s inverted indexes). The
-//! engine maintains the same state incrementally from streamed waybills:
-//! per-address temporal upper bounds (the latest recorded delivery time per
-//! trip, folded exactly as the batch path folds them) plus the
-//! building-level and address-level trip sets Equation 2's normalization
-//! needs.
+//! Retrieval (pipeline step III-C) needs, per address, the trips that
+//! delivered to it and the recorded delivery time in each: the recorded
+//! time is a temporal upper bound, and an address's candidates are the
+//! locations its trips visited no later than that bound. A delayed
+//! confirmation can only push the bound later, so the actual delivery
+//! location always stays in the retrieved set — the key robustness
+//! property versus annotation-based methods.
+//!
+//! The engine maintains that evidence incrementally from streamed
+//! waybills: per-address temporal upper bounds (the latest recorded
+//! delivery time per trip) plus the building-level and address-level trip
+//! sets Equation 2's normalization needs.
 //!
 //! Trip counts and building trip sets are *station-scoped*: the paper
 //! deploys DLInfMA per delivery station, so normalizers count only the
@@ -17,11 +20,22 @@
 //! [`ShardedEngine`](crate::ShardedEngine) split the fleet by station
 //! without changing a single feature value.
 
-use crate::retrieval::AddressEvidence;
 use dlinfma_detcol::OrdMap;
 use dlinfma_snap::{Dec, Enc, SnapError};
 use dlinfma_synth::{AddressId, BuildingId, StationId, TripId};
 use std::collections::{HashMap, HashSet};
+
+/// The delivery evidence of one address: the trips that served it and the
+/// recorded-time bound in each.
+#[derive(Debug, Clone)]
+pub struct AddressEvidence {
+    /// The address.
+    pub address: AddressId,
+    /// `(trip, recorded delivery time bound)`, ascending by trip — if
+    /// several waybills for the address share a trip, the latest recorded
+    /// time is the bound.
+    pub trips: Vec<(TripId, f64)>,
+}
 
 /// Accumulated evidence across every ingested waybill.
 #[derive(Debug, Default)]
@@ -62,8 +76,8 @@ impl RetrievalIndex {
         self.trips_per_station.get(&station).copied().unwrap_or(0)
     }
 
-    /// Folds one waybill into the evidence, exactly like the batch path:
-    /// the bound starts at `-inf` and takes the maximum recorded time.
+    /// Folds one waybill into the evidence: the bound starts at `-inf` and
+    /// takes the maximum recorded time.
     /// `station` is the delivering trip's departure station.
     pub fn add_waybill(
         &mut self,
@@ -266,6 +280,9 @@ impl RetrievalIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{DlInfMaConfig, Engine};
+    use dlinfma_detcol::OrdSet;
+    use dlinfma_synth::{generate, inject_delays, DelayConfig, Preset, Scale, TripBatch};
 
     #[test]
     fn bounds_take_the_latest_recorded_time() {
@@ -317,5 +334,52 @@ mod tests {
             Some(1)
         );
         assert!(idx.building_station_trips(b, StationId(2)).is_none());
+    }
+
+    /// Retrieval on the engine: a one-station Tiny world under the given
+    /// delay sweep (same trips, so the same stays and candidate pool).
+    fn delayed_engine(severity: f64) -> (dlinfma_synth::Dataset, Engine) {
+        use rand::SeedableRng;
+        let (_, mut ds) = generate(Preset::DowBJ, Scale::Tiny, 4);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        inject_delays(&mut ds, &DelayConfig::sweep(severity), &mut rng);
+        let mut engine = Engine::new(ds.addresses.clone(), DlInfMaConfig::fast());
+        engine.ingest(&TripBatch::full(&ds));
+        (ds, engine)
+    }
+
+    #[test]
+    fn every_delivered_address_is_sampled_once_within_its_bounds() {
+        let (ds, engine) = delayed_engine(0.0);
+        let delivered: OrdSet<AddressId> = ds.waybills.iter().map(|w| w.address).collect();
+        let sampled: OrdSet<AddressId> = engine.samples().map(|s| s.address).collect();
+        assert_eq!(engine.samples().count(), sampled.len());
+        assert_eq!(sampled, delivered);
+        for s in engine.samples() {
+            let ev = engine.evidence(s.address).expect("sampled address");
+            for &c in &s.candidates {
+                // Visited at or before the bound in at least one trip.
+                let visits = |&(trip, bound): &(TripId, f64)| {
+                    let mut v = engine.pool().visits(trip).iter();
+                    v.any(|&(cc, t)| cc == c && t <= bound)
+                };
+                let in_bound = ev.trips.iter().any(visits);
+                assert!(in_bound, "{c:?} visited only after the bound");
+            }
+        }
+    }
+
+    #[test]
+    fn heavier_delays_never_shrink_the_candidate_set() {
+        // The recorded time only moves later under delays, so the retrieved
+        // set can only grow — the property that makes the method robust.
+        let (_, light) = delayed_engine(0.0);
+        let (_, heavy) = delayed_engine(1.0);
+        assert_eq!(light.n_stays(), heavy.n_stays(), "same trips, same pool");
+        for (sl, sh) in light.samples().zip(heavy.samples()) {
+            assert_eq!(sl.address, sh.address);
+            let kept = sl.candidates.iter().all(|c| sh.candidates.contains(c));
+            assert!(kept, "delays shrank the candidates of {:?}", sl.address);
+        }
     }
 }

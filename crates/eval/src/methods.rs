@@ -9,12 +9,9 @@ use dlinfma_baselines::{
     UNetConfig,
 };
 use dlinfma_core::{
-    collect_evidence, AddressSample, CandidatePool, DlInfMa, FeatureConfig, FeatureExtractor,
-    LocMatcher, PoolMethod,
+    AddressSample, DlInfMa, DlInfMaConfig, LocMatcher, LocMatcherConfig, PoolMethod,
 };
-use dlinfma_detcol::OrdMap;
 use dlinfma_geo::Point;
-use dlinfma_pool::Pool;
 use dlinfma_synth::AddressId;
 use std::collections::HashMap;
 
@@ -165,61 +162,66 @@ pub struct MethodResult {
     pub elapsed_s: f64,
 }
 
-/// Trains LocMatcher on the given samples and returns a closure-friendly
-/// inference map over `test`. Training and the per-address inference sweep
-/// both run data-parallel on `exec`.
+/// Fits LocMatcher under `model` on `dl`'s labelled train/validation
+/// samples and returns its answers over the test split. The paper
+/// grid-searches hyperparameters per method; this mirrors that with a small
+/// validation-selected grid around `model`. Training and the per-address
+/// inference sweep both run data-parallel on `dl`'s pool.
 fn locmatcher_predictions(
-    cfg: dlinfma_core::LocMatcherConfig,
-    train: &[AddressSample],
-    val: &[AddressSample],
-    test: &[AddressSample],
-    pool: &CandidatePool,
-    exec: &Pool,
+    world: &ExperimentWorld,
+    dl: &DlInfMa,
+    model: LocMatcherConfig,
 ) -> HashMap<AddressId, Point> {
-    // The paper grid-searches hyperparameters per method; mirror that with
-    // a small validation-selected grid around the base configuration.
-    let model = LocMatcher::fit_best_pooled(&LocMatcher::experiment_grid(cfg), train, val, exec);
+    let samples = |ids: &[AddressId]| -> Vec<AddressSample> {
+        ids.iter().filter_map(|a| dl.sample(*a).cloned()).collect()
+    };
+    let (train, val) = (samples(&world.split.train), samples(&world.split.val));
+    let grid = LocMatcher::experiment_grid(model);
+    let model = LocMatcher::fit_best_pooled(&grid, &train, &val, dl.executor());
     let _span = dlinfma_obs::span(dlinfma_obs::stage::INFERENCE);
-    exec.par_map(test, |s| {
-        let idx = model.predict(s)?;
-        Some((s.address, pool.candidate(s.candidates[idx]).pos))
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    dl.executor()
+        .par_map(&samples(&world.split.test), |s| {
+            let idx = model.predict(s)?;
+            Some((s.address, dl.pool().candidate(s.candidates[idx]).pos))
+        })
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
-/// Re-extracts samples under a different feature configuration (feature
-/// ablations), preserving labels.
-fn samples_with_features(
-    world: &ExperimentWorld,
-    fcfg: FeatureConfig,
-    ids: &[AddressId],
-) -> Vec<AddressSample> {
-    let extractor = FeatureExtractor::new(&world.dataset, world.dlinfma.pool(), fcfg);
-    let evidence = collect_evidence(&world.dataset);
-    let by_addr: OrdMap<AddressId, &dlinfma_core::AddressEvidence> =
-        evidence.iter().map(|e| (e.address, e)).collect();
-    ids.iter()
-        .filter_map(|a| {
-            let e = by_addr.get(a)?;
-            let mut s = extractor.sample(e);
-            let truth = world.gt.get(a)?;
-            let distances: Vec<f64> = s
-                .candidates
-                .iter()
-                .map(|c| world.dlinfma.pool().candidate(*c).pos.distance(truth))
-                .collect();
-            s.label = distances
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| d.is_finite())
-                .min_by(|(_, x), (_, y)| x.total_cmp(y))
-                .map(|(i, _)| i);
-            s.truth_distances = Some(distances);
-            Some(s)
-        })
-        .collect()
+/// The configuration of a LocMatcher row of Table II: the DLInfMA row's,
+/// with the row's feature switch, address-context switch or pool method.
+fn row_config(world: &ExperimentWorld, method: Method) -> DlInfMaConfig {
+    let mut cfg = *world.dlinfma.config();
+    match method {
+        Method::GridPool => cfg.pool_method = PoolMethod::Grid,
+        Method::Ablation(Ablation::NoTripCoverage) => cfg.features.use_trip_coverage = false,
+        Method::Ablation(Ablation::NoDistance) => cfg.features.use_distance = false,
+        Method::Ablation(Ablation::NoProfile) => cfg.features.use_profile = false,
+        Method::Ablation(Ablation::NoCommonality) => cfg.features.use_location_commonality = false,
+        Method::Ablation(Ablation::NoAddressContext) => cfg.model.use_address_context = false,
+        Method::Ablation(Ablation::AddressLevelLc) => cfg.features.lc_address_level = true,
+        _ => {}
+    }
+    cfg.model.features = cfg.features;
+    cfg
+}
+
+/// The labelled engine samples of the two rows that change what the engine
+/// builds, DLInfMA-Grid (the pool) and DLInfMA-LC_addr (the LC): a
+/// [`DlInfMa::prepare`] under [`row_config`]. `None` for every other row,
+/// which fits on the DLInfMA row's samples: they hold everything its model
+/// configuration reads.
+fn row_samples(world: &ExperimentWorld, method: Method) -> Option<DlInfMa> {
+    let own = matches!(
+        method,
+        Method::GridPool | Method::Ablation(Ablation::AddressLevelLc)
+    );
+    own.then(|| {
+        let mut row = DlInfMa::prepare(&world.dataset, row_config(world, method));
+        row.label_from_dataset(&world.dataset);
+        row
+    })
 }
 
 /// Evaluates one method over the world's test split and returns the metrics.
@@ -273,17 +275,6 @@ pub fn evaluate_errors(world: &ExperimentWorld, method: Method) -> Vec<f64> {
             };
             world.test_errors(|a| m.infer(a))
         }
-        Method::DlInfMa => {
-            let preds = locmatcher_predictions(
-                world.dlinfma.config().model,
-                &world.train_samples(),
-                &world.val_samples(),
-                &world.test_samples(),
-                pool,
-                world.dlinfma.executor(),
-            );
-            world.test_errors(|a| preds.get(&a).copied())
-        }
         Method::Classifier(kind) => {
             let model = ClassifierVariant::fit(
                 &world.train_samples(),
@@ -322,62 +313,10 @@ pub fn evaluate_errors(world: &ExperimentWorld, method: Method) -> Vec<f64> {
                     .and_then(|s| model.infer_sample(s, pool))
             })
         }
-        Method::GridPool => {
-            let mut cfg = *world.dlinfma.config();
-            cfg.pool_method = PoolMethod::Grid;
-            let mut grid = DlInfMa::prepare(&world.dataset, cfg);
-            grid.label_from_dataset(&world.dataset);
-            grid.train(&world.split.train, &world.split.val);
-            world.test_errors(|a| grid.infer(a))
-        }
-        Method::Ablation(ab) => {
-            let base = *world.dlinfma.config();
-            let (fcfg, use_ctx) = match ab {
-                Ablation::NoTripCoverage => (
-                    FeatureConfig {
-                        use_trip_coverage: false,
-                        ..base.features
-                    },
-                    true,
-                ),
-                Ablation::NoDistance => (
-                    FeatureConfig {
-                        use_distance: false,
-                        ..base.features
-                    },
-                    true,
-                ),
-                Ablation::NoProfile => (
-                    FeatureConfig {
-                        use_profile: false,
-                        ..base.features
-                    },
-                    true,
-                ),
-                Ablation::NoCommonality => (
-                    FeatureConfig {
-                        use_location_commonality: false,
-                        ..base.features
-                    },
-                    true,
-                ),
-                Ablation::NoAddressContext => (base.features, false),
-                Ablation::AddressLevelLc => (
-                    FeatureConfig {
-                        lc_address_level: true,
-                        ..base.features
-                    },
-                    true,
-                ),
-            };
-            let train = samples_with_features(world, fcfg, &world.split.train);
-            let val = samples_with_features(world, fcfg, &world.split.val);
-            let test = samples_with_features(world, fcfg, &world.split.test);
-            let mut mcfg = base.model;
-            mcfg.features = fcfg;
-            mcfg.use_address_context = use_ctx;
-            let preds =
-                locmatcher_predictions(mcfg, &train, &val, &test, pool, world.dlinfma.executor());
+        Method::DlInfMa | Method::GridPool | Method::Ablation(_) => {
+            let own = row_samples(world, method);
+            let dl = own.as_ref().unwrap_or(&world.dlinfma);
+            let preds = locmatcher_predictions(world, dl, row_config(world, method).model);
             world.test_errors(|a| preds.get(&a).copied())
         }
     }
@@ -413,6 +352,65 @@ mod tests {
             let r = evaluate(&world, m);
             assert!(r.metrics.mae.is_finite(), "{}", r.name);
             assert!(r.metrics.n > 0);
+        }
+    }
+
+    /// nTC, nD, nP, nLC and nA may reuse the DLInfMA row's samples: an
+    /// engine under the row's configuration builds the same candidates,
+    /// address context and labels, zeroes the ablated feature and keeps
+    /// every other feature bit for bit, and its model configuration is the
+    /// one the row is fitted with. LC_addr's LC is an engine's with
+    /// `lc_address_level`, streamed day by day.
+    #[test]
+    fn ablation_rows_are_fitted_on_engine_samples() {
+        use dlinfma_core::Engine;
+        let world = ExperimentWorld::build(Preset::DowBJ, Scale::Tiny, 0);
+        let base = &world.dlinfma;
+        for ab in [
+            Ablation::NoTripCoverage,
+            Ablation::NoDistance,
+            Ablation::NoProfile,
+            Ablation::NoCommonality,
+            Ablation::NoAddressContext,
+        ] {
+            let method = Method::Ablation(ab);
+            assert!(row_samples(&world, method).is_none(), "{}", ab.name());
+            let cfg = row_config(&world, method);
+            let mut row = DlInfMa::prepare(&world.dataset, cfg);
+            row.label_from_dataset(&world.dataset);
+            let model = |c: &DlInfMaConfig| format!("{:?}", c.model);
+            assert_eq!(model(row.config()), model(&cfg), "{}", ab.name());
+            let kept = cfg.features;
+            assert_eq!(row.samples().count(), base.samples().count());
+            for (r, b) in row.samples().zip(base.samples()) {
+                let context = |s: &AddressSample| (s.address, s.n_deliveries, s.poi_category);
+                assert_eq!((context(r), &r.candidates), (context(b), &b.candidates));
+                assert_eq!((r.label, &r.truth_distances), (b.label, &b.truth_distances));
+                let mut want = b.features.clone();
+                for f in &mut want {
+                    let keep = |on: bool, x: f64| if on { x } else { 0.0 };
+                    f.trip_coverage = keep(kept.use_trip_coverage, f.trip_coverage);
+                    f.location_commonality =
+                        keep(kept.use_location_commonality, f.location_commonality);
+                    f.distance_m = keep(kept.use_distance, f.distance_m);
+                }
+                assert_eq!(r.features, want, "{} at {:?}", ab.name(), r.address);
+            }
+        }
+        assert!(row_samples(&world, Method::DlInfMa).is_none());
+
+        let row = row_samples(&world, Method::Ablation(Ablation::AddressLevelLc)).expect("own");
+        let mut engine = Engine::new(world.dataset.addresses.clone(), *row.config());
+        for batch in dlinfma_synth::replay(&world.dataset) {
+            engine.ingest(&batch);
+        }
+        let lc = |s: &AddressSample| -> Vec<u64> {
+            let lc = s.features.iter().map(|f| f.location_commonality.to_bits());
+            lc.collect()
+        };
+        assert_eq!(row.samples().count(), engine.samples().count());
+        for (r, e) in row.samples().zip(engine.samples()) {
+            assert_eq!((&r.candidates, lc(r)), (&e.candidates, lc(e)));
         }
     }
 

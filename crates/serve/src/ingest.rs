@@ -1,96 +1,27 @@
-//! The background ingest side of the serving layer: replay days through an
-//! [`Engine`] and publish an immutable snapshot at every materialize
+//! The background ingest side of the serving layer: replay days through a
+//! [`ShardedEngine`] and publish an immutable snapshot at every materialize
 //! boundary.
 
-use dlinfma_core::{AddressSample, Engine, LocMatcher, ShardedEngine};
-use dlinfma_detcol::OrdMap;
-use dlinfma_geo::Point;
+use dlinfma_core::ShardedEngine;
 use dlinfma_obs as obs;
 use dlinfma_store::{LocationSnapshot, SnapshotCell};
-use dlinfma_synth::{spatial_split, AddressId, Dataset, TripBatch};
+use dlinfma_synth::{spatial_split, Dataset, TripBatch};
 use std::time::Duration;
 
-/// Labels the engine's materialized samples against the dataset's ground
-/// truth, trains a `LocMatcher` on a spatial split, and installs it with
-/// [`Engine::set_model`] so [`Engine::infer`] (and therefore address-level
-/// serving) comes online. Returns the number of labelled samples trained
-/// on.
-///
-/// Labelling mirrors the batch pipeline's `label_with`: each sample's
-/// label is the candidate nearest the true delivery location, skipping
-/// non-finite distances.
-pub fn train_engine_model(engine: &mut Engine, dataset: &Dataset) -> usize {
-    let truths: OrdMap<AddressId, Point> = dataset
-        .addresses
-        .iter()
-        .map(|a| (a.id, a.true_delivery_location))
-        .collect();
-    let mut samples: OrdMap<AddressId, AddressSample> =
-        engine.samples().map(|s| (s.address, s.clone())).collect();
-    let mut labelled = 0usize;
-    for sample in samples.values_mut() {
-        let Some(truth) = truths.get(&sample.address) else {
-            continue;
-        };
-        let distances: Vec<f64> = sample
-            .candidates
-            .iter()
-            .map(|c| engine.pool().candidate(*c).pos.distance(truth))
-            .collect();
-        sample.label = distances
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_finite())
-            .min_by(|(_, a), (_, b)| a.total_cmp(b))
-            .map(|(i, _)| i);
-        sample.truth_distances = Some(distances);
-        if sample.label.is_some() {
-            labelled += 1;
-        }
-    }
-    let split = spatial_split(dataset, 0.6, 0.2);
-    let collect = |ids: &[AddressId]| -> Vec<AddressSample> {
-        ids.iter()
-            .filter_map(|a| samples.get(a))
-            .filter(|s| s.label.is_some())
-            .cloned()
-            .collect()
-    };
-    let train = collect(&split.train);
-    let val = collect(&split.val);
-    let mut model = LocMatcher::new(engine.config().model);
-    model.train_pooled(&train, &val, engine.executor());
-    engine.set_model(model);
-    labelled
-}
-
-/// Builds a snapshot from the engine's current state and publishes it.
-/// The build happens entirely outside the cell's lock — readers keep
-/// answering from the previous epoch until the O(1) swap. Returns the
-/// published epoch.
-pub fn publish_snapshot(engine: &Engine, cell: &SnapshotCell, days_ingested: u32) -> u64 {
-    let _span = obs::trace_span(obs::names::SERVE_PUBLISH);
-    let snap = LocationSnapshot::from_engine(engine, days_ingested);
-    let epoch = cell.publish(snap);
-    obs::trace_counter(obs::names::SERVE_EPOCH, epoch as f64);
-    obs::gauge(obs::names::SERVE_EPOCH).set(epoch as f64);
-    epoch
-}
-
-/// Fleet-mode twin of [`train_engine_model`]: labels the fleet's merged
-/// samples against ground truth, trains one `LocMatcher` on the same
-/// spatial split, and installs it as the fleet model. The merged sample
-/// set is shard-count-invariant, and so is the model — a 1-shard fleet
-/// trains the bit-identical model the single-engine path would. Returns
-/// the number of labelled samples.
+/// Labels the fleet's merged samples against the dataset's ground truth,
+/// trains one `LocMatcher` on a spatial split, and installs it as the
+/// fleet model, so address-level serving comes online. The merged sample
+/// set is shard-count-invariant, and so is the model. Returns the number
+/// of labelled samples.
 pub fn train_sharded_model(fleet: &mut ShardedEngine, dataset: &Dataset) -> usize {
     let split = spatial_split(dataset, 0.6, 0.2);
     fleet.train_with(dataset, &split.train, &split.val)
 }
 
-/// Fleet-mode twin of [`publish_snapshot`]: merges the fleet's shards into
-/// one [`LocationSnapshot`] (per-shard epochs included) and publishes it
-/// with a single atomic swap. Returns the published epoch.
+/// Merges the fleet's shards into one [`LocationSnapshot`] (per-shard
+/// epochs included) and publishes it with a single atomic swap. The build
+/// happens entirely outside the cell's lock — readers keep answering from
+/// the previous epoch until the O(1) swap. Returns the published epoch.
 pub fn publish_sharded_snapshot(
     fleet: &ShardedEngine,
     cell: &SnapshotCell,
@@ -104,28 +35,16 @@ pub fn publish_sharded_snapshot(
     epoch
 }
 
-/// Fleet-mode twin of [`replay_and_publish`]: each day batch is
-/// partitioned by station inside [`ShardedEngine::ingest`], the caller's
-/// hook runs, and one merged snapshot is published. Returns the last epoch
-/// published (0 when `batches` was empty).
+/// The background replay loop: for each batch, ingest (partitioned by
+/// station inside [`ShardedEngine::ingest`]), run the caller's hook (e.g.
+/// train the model once enough days are in), then build and publish one
+/// merged snapshot. Day numbers start after `start_day` — 0 for a cold
+/// start, `k` when the fleet was restored from a day-`k` checkpoint and
+/// `batches` holds only the remaining days — so the hook and the published
+/// snapshots see absolute day numbers. Sleeps `day_delay_ms` between days
+/// to emulate a live feed. Returns the last epoch published (0 when
+/// `batches` was empty).
 pub fn replay_and_publish_sharded<I>(
-    fleet: &mut ShardedEngine,
-    batches: I,
-    cell: &SnapshotCell,
-    day_delay_ms: u64,
-    after_ingest: impl FnMut(&mut ShardedEngine, u32),
-) -> u64
-where
-    I: IntoIterator<Item = TripBatch>,
-{
-    replay_and_publish_sharded_from(fleet, batches, cell, day_delay_ms, 0, after_ingest)
-}
-
-/// [`replay_and_publish_sharded`] starting the day counter at `start_day`
-/// — the warm-restart path, where the fleet was restored from a day-`k`
-/// checkpoint and `batches` holds only the remaining days. The hook and
-/// the published snapshots see absolute day numbers.
-pub fn replay_and_publish_sharded_from<I>(
     fleet: &mut ShardedEngine,
     batches: I,
     cell: &SnapshotCell,
@@ -143,53 +62,6 @@ where
         days += 1;
         after_ingest(fleet, days);
         epoch = publish_sharded_snapshot(fleet, cell, days);
-        if day_delay_ms > 0 {
-            std::thread::sleep(Duration::from_millis(day_delay_ms));
-        }
-    }
-    epoch
-}
-
-/// The background replay loop: for each batch, ingest, run the caller's
-/// hook (e.g. train the model once enough days are in), then build and
-/// publish a fresh snapshot. Sleeps `day_delay_ms` between days to emulate
-/// a live feed. Returns the last epoch published (0 when `batches` was
-/// empty).
-pub fn replay_and_publish<I>(
-    engine: &mut Engine,
-    batches: I,
-    cell: &SnapshotCell,
-    day_delay_ms: u64,
-    after_ingest: impl FnMut(&mut Engine, u32),
-) -> u64
-where
-    I: IntoIterator<Item = TripBatch>,
-{
-    replay_and_publish_from(engine, batches, cell, day_delay_ms, 0, after_ingest)
-}
-
-/// [`replay_and_publish`] starting the day counter at `start_day` — the
-/// warm-restart path, where the engine was restored from a day-`k`
-/// checkpoint and `batches` holds only the remaining days. The hook and
-/// the published snapshots see absolute day numbers.
-pub fn replay_and_publish_from<I>(
-    engine: &mut Engine,
-    batches: I,
-    cell: &SnapshotCell,
-    day_delay_ms: u64,
-    start_day: u32,
-    mut after_ingest: impl FnMut(&mut Engine, u32),
-) -> u64
-where
-    I: IntoIterator<Item = TripBatch>,
-{
-    let mut days = start_day;
-    let mut epoch = 0u64;
-    for batch in batches {
-        engine.ingest(&batch);
-        days += 1;
-        after_ingest(engine, days);
-        epoch = publish_snapshot(engine, cell, days);
         if day_delay_ms > 0 {
             std::thread::sleep(Duration::from_millis(day_delay_ms));
         }

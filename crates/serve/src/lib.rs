@@ -13,19 +13,15 @@
 //!   snapshot epoch it was answered from, and a `/batch` request answers
 //!   all of its addresses from **one** snapshot load, so epoch consistency
 //!   is externally observable.
-//! * [`replay_and_publish`] — the background ingest loop: one
-//!   `Engine::ingest` per day, then a fresh snapshot built *outside* any
-//!   lock and swapped in at the materialize boundary. Readers never wait on
-//!   a materialize; they keep answering from the previous epoch until the
-//!   swap.
-//! * [`train_engine_model`] — labels the engine's materialized samples
-//!   against ground truth and trains/installs a `LocMatcher`, so
+//! * [`replay_and_publish_sharded`] — the background ingest loop: one
+//!   [`dlinfma_core::ShardedEngine::ingest`] per day (1 shard unless the
+//!   caller asks for more), then a fresh merged snapshot built *outside*
+//!   any lock and swapped in at the materialize boundary. Readers never
+//!   wait on a materialize; they keep answering from the previous epoch
+//!   until the swap.
+//! * [`train_sharded_model`] — labels the fleet's merged samples against
+//!   ground truth and trains/installs one fleet `LocMatcher`, so
 //!   address-level answers come online mid-stream.
-//! * Fleet mode — [`replay_and_publish_sharded`], [`train_sharded_model`]
-//!   and [`publish_sharded_snapshot`] run the same loop over a
-//!   station-sharded [`dlinfma_core::ShardedEngine`]: per-station ingest,
-//!   one fleet model over the merged samples, one atomically-published
-//!   merged snapshot carrying per-shard epochs.
 //! * [`HttpClient`] — the matching keep-alive client used by the
 //!   `bench_serve` load generator, the CLI self-check and the tests.
 //!
@@ -37,9 +33,5 @@ mod ingest;
 mod server;
 
 pub use http::{HttpClient, Request};
-pub use ingest::{
-    publish_sharded_snapshot, publish_snapshot, replay_and_publish, replay_and_publish_from,
-    replay_and_publish_sharded, replay_and_publish_sharded_from, train_engine_model,
-    train_sharded_model,
-};
+pub use ingest::{publish_sharded_snapshot, replay_and_publish_sharded, train_sharded_model};
 pub use server::{ServeConfig, ServeStats, Server};

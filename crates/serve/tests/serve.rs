@@ -2,11 +2,13 @@
 //! and a live publisher — including the no-torn-reads proof the serving
 //! layer exists for.
 
-use dlinfma_core::{DlInfMaConfig, Engine};
+use dlinfma_core::{DlInfMaConfig, ShardedEngine};
 use dlinfma_geo::Point;
 use dlinfma_obs::JsonValue;
 use dlinfma_pool::spawn_service;
-use dlinfma_serve::{replay_and_publish, train_engine_model, HttpClient, ServeConfig, Server};
+use dlinfma_serve::{
+    replay_and_publish_sharded, train_sharded_model, HttpClient, ServeConfig, Server,
+};
 use dlinfma_store::{LocationSnapshot, SnapshotCell};
 use dlinfma_synth::{generate, replay, AddressId, BuildingId, Preset, Scale};
 use std::collections::HashMap;
@@ -37,7 +39,7 @@ fn serves_engine_state_end_to_end() {
     let (_, ds) = generate(Preset::DowBJ, Scale::Tiny, 7);
     let mut cfg = DlInfMaConfig::fast();
     cfg.model.max_epochs = 3;
-    let mut engine = Engine::new(ds.addresses.clone(), cfg);
+    let mut fleet = ShardedEngine::new(ds.addresses.clone(), cfg, 1);
     let cell = Arc::new(SnapshotCell::new());
     let mut server = start_server(Arc::clone(&cell));
     let mut client = HttpClient::connect(server.addr()).expect("connect");
@@ -57,9 +59,9 @@ fn serves_engine_state_end_to_end() {
     // address-level answers come online mid-stream.
     let batches: Vec<_> = replay(&ds).collect();
     let n_days = batches.len() as u32;
-    let final_epoch = replay_and_publish(&mut engine, batches, &cell, 0, |engine, day| {
+    let final_epoch = replay_and_publish_sharded(&mut fleet, batches, &cell, 0, 0, |fleet, day| {
         if day == 2 {
-            assert!(train_engine_model(engine, &ds) > 0);
+            assert!(train_sharded_model(fleet, &ds) > 0);
         }
     });
     assert_eq!(final_epoch, u64::from(n_days));
@@ -89,8 +91,8 @@ fn serves_engine_state_end_to_end() {
     assert!(stats["requests"].as_f64().unwrap() >= 30.0);
     assert_eq!(stats["errors"].as_f64(), Some(1.0)); // the early 404
 
-    // A single-engine snapshot reports itself as one shard whose epoch is
-    // the ingested day count.
+    // A 1-shard fleet's snapshot reports one shard whose epoch is the
+    // ingested day count.
     assert_eq!(stats["shards"].as_f64(), Some(1.0));
     assert_eq!(stats["shard_epochs"][0].as_f64(), Some(f64::from(n_days)));
     let (status, _) = client.get("/shutdown").unwrap();

@@ -11,12 +11,11 @@
 //! The store is concurrent: queries take a read lock, periodic refreshes a
 //! write lock.
 
+use crate::snapshot::LocationSnapshot;
 use dlinfma_core::DlInfMa;
-use dlinfma_detcol::OrdMap;
 use dlinfma_geo::Point;
-use dlinfma_synth::{AddressId, BuildingId, Dataset};
+use dlinfma_synth::{AddressId, Dataset};
 use parking_lot::RwLock;
-use std::collections::HashMap;
 
 /// Which fallback level answered a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,17 +28,14 @@ pub enum QuerySource {
     Geocode,
 }
 
-#[derive(Debug, Default)]
-struct Tables {
-    by_address: HashMap<AddressId, Point>,
-    by_building: HashMap<BuildingId, Point>,
-    geocodes: HashMap<AddressId, (BuildingId, Point)>,
-}
-
 /// Concurrent delivery-location store with the deployment fallback chain.
+///
+/// Its tables and lookups are a [`LocationSnapshot`]'s: one freeze rule
+/// (building vote and fallback chain) serves both the store and the
+/// serving layer.
 #[derive(Debug, Default)]
 pub struct DeliveryLocationStore {
-    tables: RwLock<Tables>,
+    tables: RwLock<LocationSnapshot>,
 }
 
 impl DeliveryLocationStore {
@@ -52,60 +48,20 @@ impl DeliveryLocationStore {
     /// locations plus, per building, the location inferred for the most
     /// addresses (the "mostly used" building-level answer).
     pub fn refresh(&self, dataset: &Dataset, dlinfma: &DlInfMa) {
-        type Votes = OrdMap<(i64, i64), (usize, Point)>;
-        let mut by_address: HashMap<AddressId, Point> = HashMap::new();
-        let mut building_votes: OrdMap<BuildingId, Votes> = OrdMap::new();
-        for a in &dataset.addresses {
-            if let Some(p) = dlinfma.infer(a.id) {
-                by_address.insert(a.id, p);
-                // Vote with ~1 m quantization so identical candidates merge.
-                let key = ((p.x * 1.0) as i64, (p.y * 1.0) as i64);
-                let slot = building_votes
-                    .entry(a.building)
-                    .or_default()
-                    .entry(key)
-                    .or_insert((0, p));
-                slot.0 += 1;
-            }
-        }
-        let by_building = building_votes
-            .into_iter()
-            .filter_map(|(b, votes)| {
-                votes
-                    .into_iter()
-                    .max_by_key(|(_, (n, _))| *n)
-                    .map(|(_, (_, p))| (b, p))
-            })
-            .collect();
-        let geocodes = dataset
-            .addresses
-            .iter()
-            .map(|a| (a.id, (a.building, a.geocode)))
-            .collect();
-        *self.tables.write() = Tables {
-            by_address,
-            by_building,
-            geocodes,
-        };
+        let (by_address, by_building, geocodes) =
+            LocationSnapshot::build_tables(&dataset.addresses, |a| dlinfma.infer(a));
+        *self.tables.write() = LocationSnapshot::from_tables(by_address, by_building, geocodes);
     }
 
     /// Answers a query through the fallback chain; `None` only for addresses
     /// entirely unknown to the system.
     pub fn query(&self, addr: AddressId) -> Option<(Point, QuerySource)> {
-        let t = self.tables.read();
-        if let Some(&p) = t.by_address.get(&addr) {
-            return Some((p, QuerySource::Address));
-        }
-        let &(building, geocode) = t.geocodes.get(&addr)?;
-        if let Some(&p) = t.by_building.get(&building) {
-            return Some((p, QuerySource::Building));
-        }
-        Some((geocode, QuerySource::Geocode))
+        self.tables.read().query(addr)
     }
 
     /// Number of address-level entries.
     pub fn len(&self) -> usize {
-        self.tables.read().by_address.len()
+        self.tables.read().len()
     }
 
     /// True when the store holds no address-level inferences.

@@ -20,7 +20,7 @@
 //! mostly-used location, then the geocode.
 
 use crate::kv::QuerySource;
-use dlinfma_core::{Engine, ShardedEngine};
+use dlinfma_core::ShardedEngine;
 use dlinfma_detcol::OrdMap;
 use dlinfma_geo::Point;
 use dlinfma_synth::{AddressId, BuildingId};
@@ -38,8 +38,8 @@ type SnapshotTables = (
 
 /// One immutable, epoch-tagged view of the delivery-location tables.
 ///
-/// Constructed from a quiescent [`Engine`] (between ingests) and never
-/// mutated afterwards; cheap to share via `Arc`.
+/// Constructed from a quiescent [`ShardedEngine`] (between ingests) and
+/// never mutated afterwards; cheap to share via `Arc`.
 #[derive(Debug, Clone, Default)]
 pub struct LocationSnapshot {
     epoch: u64,
@@ -49,9 +49,9 @@ pub struct LocationSnapshot {
     healthy: bool,
     anomalies: usize,
     /// Day batches ingested per source shard when the snapshot was frozen;
-    /// one entry for a single-engine snapshot, empty for the pre-ingest
-    /// snapshot. The snapshot itself is still published atomically — these
-    /// only report how far each shard's ingest had progressed.
+    /// empty for the pre-ingest snapshot. The snapshot itself is still
+    /// published atomically — these only report how far each shard's
+    /// ingest had progressed.
     shard_epochs: Vec<u64>,
     by_address: HashMap<AddressId, Point>,
     by_building: HashMap<BuildingId, Point>,
@@ -69,45 +69,17 @@ impl LocationSnapshot {
         }
     }
 
-    /// Freezes the engine's current materialized state into a snapshot.
-    ///
-    /// Address-level entries come from [`Engine::infer`] (empty until a
-    /// model is installed via [`Engine::set_model`]); building-level
-    /// entries are the per-building mostly-used inferred location with ~1 m
-    /// vote quantization, mirroring
-    /// [`crate::kv::DeliveryLocationStore::refresh`]; geocodes cover the
-    /// whole address universe so the chain always bottoms out. The epoch is
-    /// stamped later, at [`SnapshotCell::publish`] time.
-    pub fn from_engine(engine: &Engine, days_ingested: u32) -> Self {
-        let (by_address, by_building, geocodes) =
-            Self::build_tables(engine.addresses(), |a| engine.infer(a));
-        let health = engine.health_report();
-        Self {
-            epoch: 0,
-            days_ingested,
-            n_candidates: engine.pool().len(),
-            n_stays: engine.n_stays(),
-            healthy: health.is_healthy(),
-            anomalies: health.anomalies().len(),
-            shard_epochs: vec![u64::from(days_ingested)],
-            by_address,
-            by_building,
-            geocodes,
-        }
-    }
-
-    /// Freezes a [`ShardedEngine`]'s merged state into one snapshot — the
-    /// fleet-mode twin of [`LocationSnapshot::from_engine`].
+    /// Freezes a [`ShardedEngine`]'s merged state into one snapshot.
     ///
     /// Address-level entries come from [`ShardedEngine::infer`] (the owning
     /// shard's sample scored by the fleet model, with cross-shard
-    /// fallback); the building-level vote and the geocode table are
-    /// computed over the merged index exactly as in the single-engine path,
-    /// so a 1-shard fleet freezes to the bit-identical snapshot. Health is
-    /// the conjunction of the shards' health reports; `shard_epochs`
-    /// carries each shard's ingested-day count. The merged snapshot is
-    /// published through the same [`SnapshotCell::publish`] as any other —
-    /// one atomic swap, never per-shard.
+    /// fallback; empty until a model is installed); building-level entries
+    /// are the per-building mostly-used inferred location with ~1 m vote
+    /// quantization; geocodes cover the whole address universe so the
+    /// chain always bottoms out. Health is the conjunction of the shards'
+    /// health reports; `shard_epochs` carries each shard's ingested-day
+    /// count. The epoch is stamped later, at [`SnapshotCell::publish`]
+    /// time — one atomic swap for the merged snapshot, never per-shard.
     pub fn from_sharded(fleet: &ShardedEngine, days_ingested: u32) -> Self {
         let (by_address, by_building, geocodes) =
             Self::build_tables(fleet.addresses(), |a| fleet.infer(a));
@@ -129,11 +101,12 @@ impl LocationSnapshot {
         }
     }
 
-    /// The shared table-building core of the two freeze paths: address
-    /// entries from `infer`, building entries as the per-building
-    /// mostly-used inferred location with ~1 m vote quantization, geocodes
-    /// over the whole universe.
-    fn build_tables(
+    /// The freeze rule shared by [`LocationSnapshot::from_sharded`] and
+    /// [`crate::kv::DeliveryLocationStore::refresh`]: address entries from
+    /// `infer`, building entries as the per-building mostly-used inferred
+    /// location with ~1 m vote quantization (ties go to the largest
+    /// quantized key), geocodes over the whole universe.
+    pub(crate) fn build_tables(
         addresses: &[dlinfma_synth::Address],
         infer: impl Fn(AddressId) -> Option<Point>,
     ) -> SnapshotTables {
@@ -254,14 +227,13 @@ impl LocationSnapshot {
     }
 
     /// Day batches each source shard had ingested at freeze time — one
-    /// entry per shard ([`LocationSnapshot::from_engine`] reports itself as
-    /// a single shard), empty for the pre-ingest snapshot.
+    /// entry per shard, empty for the pre-ingest snapshot.
     pub fn shard_epochs(&self) -> &[u64] {
         &self.shard_epochs
     }
 
     /// Number of engine shards behind this snapshot (0 for the pre-ingest
-    /// snapshot, 1 for the single-engine path).
+    /// snapshot).
     pub fn n_shards(&self) -> usize {
         self.shard_epochs.len()
     }
@@ -364,18 +336,18 @@ mod tests {
     }
 
     #[test]
-    fn from_engine_without_model_serves_geocodes() {
+    fn from_sharded_without_model_serves_geocodes() {
         let (_, ds) = generate(Preset::DowBJ, Scale::Tiny, 3);
-        let mut engine = Engine::new(ds.addresses.clone(), DlInfMaConfig::fast());
-        let mut days = 0u32;
+        let mut fleet = ShardedEngine::new(ds.addresses.clone(), DlInfMaConfig::fast(), 1);
         for batch in replay(&ds) {
-            engine.ingest(&batch);
-            days += 1;
+            fleet.ingest(&batch);
         }
-        let snap = LocationSnapshot::from_engine(&engine, days);
+        let days = fleet.days_ingested();
+        let snap = LocationSnapshot::from_sharded(&fleet, days);
         assert!(snap.is_empty(), "no model => no address-level entries");
         assert_eq!(snap.n_addresses(), ds.addresses.len());
         assert_eq!(snap.days_ingested(), days);
+        assert_eq!(snap.shard_epochs(), &[u64::from(days)]);
         assert!(snap.n_candidates() > 0);
         let a = &ds.addresses[0];
         let (p, src) = snap.query(a.id).unwrap();
@@ -383,53 +355,36 @@ mod tests {
         assert_eq!((p.x, p.y), (a.geocode.x, a.geocode.y));
     }
 
-    /// Freezing a fleet must behave like freezing one engine: at 1 shard
-    /// the snapshots agree field-for-field, and at 2 shards the merged
-    /// snapshot carries the same universe, the same funnel totals, one
-    /// epoch entry per shard, and publishes through the cell as a single
-    /// atomic swap.
+    /// Freezing a 2-shard fleet gives the 1-shard fleet's snapshot: the
+    /// same universe, funnel totals and answers, one epoch entry per shard,
+    /// published through the cell as a single atomic swap.
     #[test]
     fn from_sharded_merges_shards_into_one_snapshot() {
-        use dlinfma_core::ShardedEngine;
         use dlinfma_synth::{generate_with, world_config};
 
         let mut wcfg = world_config(Preset::DowBJ, Scale::Tiny);
         wcfg.sim.n_stations = 3;
         let (_, ds) = generate_with(&wcfg, 17);
 
-        let mut engine = Engine::new(ds.addresses.clone(), DlInfMaConfig::fast());
         let mut fleet1 = ShardedEngine::new(ds.addresses.clone(), DlInfMaConfig::fast(), 1);
         let mut fleet2 = ShardedEngine::new(ds.addresses.clone(), DlInfMaConfig::fast(), 2);
-        let mut days = 0u32;
         for batch in replay(&ds) {
-            engine.ingest(&batch);
             fleet1.ingest(&batch);
-            fleet2.ingest(&batch);
-            days += 1;
+            let rep = fleet2.ingest(&batch);
+            assert_eq!(rep.shards.len(), 2, "one report per shard");
         }
-
-        let single = LocationSnapshot::from_engine(&engine, days);
+        let days = fleet1.days_ingested();
         let one = LocationSnapshot::from_sharded(&fleet1, days);
         let two = LocationSnapshot::from_sharded(&fleet2, days);
 
-        // 1 shard == the single-engine path, field for field.
-        assert_eq!(one.len(), single.len());
-        assert_eq!(one.n_addresses(), single.n_addresses());
-        assert_eq!(one.n_candidates(), single.n_candidates());
-        assert_eq!(one.n_stays(), single.n_stays());
-        assert_eq!(one.healthy(), single.healthy());
-        assert_eq!(one.anomalies(), single.anomalies());
-        assert_eq!(one.shard_epochs(), single.shard_epochs());
         assert_eq!(one.n_shards(), 1);
-
-        // 2 shards: same universe and funnel totals, per-shard epochs.
-        assert_eq!(two.n_addresses(), single.n_addresses());
-        assert_eq!(two.n_candidates(), single.n_candidates());
-        assert_eq!(two.n_stays(), single.n_stays());
+        assert_eq!(two.n_addresses(), one.n_addresses());
+        assert_eq!(two.n_candidates(), one.n_candidates());
+        assert_eq!(two.n_stays(), one.n_stays());
         assert_eq!(two.n_shards(), 2);
         assert_eq!(two.shard_epochs(), &[u64::from(days); 2]);
         for a in &ds.addresses {
-            assert_eq!(two.query(a.id), single.query(a.id));
+            assert_eq!(two.query(a.id), one.query(a.id));
         }
 
         // One atomic publish for the whole merged snapshot.

@@ -44,12 +44,24 @@ cargo run -p xtask "${CARGO_FLAGS[@]}" -- lint --json > LINT_report.json ||
     { cargo run -p xtask "${CARGO_FLAGS[@]}" -- lint; exit 1; }
 run cargo run -p xtask "${CARGO_FLAGS[@]}" -- lint --fixtures
 
-# Fleet-mode smoke: the Tiny replay partitioned over two station shards,
-# driven end to end from the CLI (`--shards` → ShardedEngine). The merged
-# totals it prints must match the single-engine replay's — the shard-count
-# parity tests pin that bit-for-bit; this exercises the same path from the
-# binary.
-run cargo run --release -p dlinfma-cli "${CARGO_FLAGS[@]}" -- replay --preset dowbj --scale tiny --shards 2
+# Fleet-mode smoke: the Small replay (two stations) at one shard and at
+# two, driven end to end from the CLI (`--shards` -> ShardedEngine, one
+# engine per station shard). The stay, candidate and sampled-address
+# totals the two runs print must match: the shard-count parity tests pin
+# that bit for bit, and this checks the same property from the binary.
+echo "==> fleet-mode smoke (Small, 1 vs 2 shards)"
+totals_re='[0-9]* stays, [0-9]* candidates, [0-9]* sampled addresses'
+one_line=$(cargo run --release -p dlinfma-cli "${CARGO_FLAGS[@]}" -- replay --preset dowbj --scale small --shards 1 | tail -1)
+two_line=$(cargo run --release -p dlinfma-cli "${CARGO_FLAGS[@]}" -- replay --preset dowbj --scale small --shards 2 | tail -1)
+one_totals=$(grep -o "$totals_re" <<<"$one_line")
+two_totals=$(grep -o "$totals_re" <<<"$two_line")
+if [[ -z $one_totals || "$one_totals" != "$two_totals" ]]; then
+    echo "ci: 2-shard totals diverge from the 1-shard replay" >&2
+    echo "  1 shard:  $one_line" >&2
+    echo "  2 shards: $two_line" >&2
+    exit 1
+fi
+echo "    fleet smoke green ($one_totals at 1 and 2 shards)"
 
 # Durable-snapshot round trip: replay Tiny, write one checkpoint, read it
 # back (CRC-validated) and require the re-encode to be byte-identical.
@@ -59,12 +71,13 @@ rm -rf SNAP_quick
 run cargo run --release -p dlinfma-cli "${CARGO_FLAGS[@]}" -- checkpoint --preset dowbj --scale tiny --snapshot-dir SNAP_quick
 
 if [[ $QUICK -eq 1 ]]; then
-    echo "ci: quick loop green (build + test + lint + 2-shard replay + snapshot round trip)"
+    echo "ci: quick loop green (build + test + lint + 1-vs-2-shard replay + snapshot round trip)"
     exit 0
 fi
 
-# Checkpoint/resume smoke: replay Tiny checkpointing every 2 days, copy
-# the day-2 checkpoint into a fresh directory, resume from it, and require
+# Checkpoint/resume smoke: replay Tiny on the default 1-shard fleet,
+# writing a fleet checkpoint every 2 days, copy the day-2 checkpoint into a
+# fresh directory, resume from it, and require
 # (a) the resumed run's printed stay/candidate/sample totals to match the
 # cold run's (timings excluded — they are not deterministic) and (b) every
 # checkpoint file the resumed run re-writes to be byte-identical to the
@@ -107,7 +120,7 @@ diff -r SNAP_det_a SNAP_det_b || {
 echo "    determinism green (checkpoint trees byte-identical across worker counts)"
 
 # Streaming-ingest smoke: replays the Tiny world day by day through the
-# incremental engine with tracing on; exercises the same path the
+# default 1-shard fleet with tracing on; exercises the same path the
 # batch_streaming_parity tests pin down, from the CLI. The metrics export
 # and the Chrome trace are CI artifacts; trace-check validates the trace's
 # golden shape (matched B/E pairs per thread, monotonic timestamps).

@@ -2,7 +2,7 @@
 //! when fed degenerate or hostile data.
 
 use dlinfma::core::{
-    build_pool, collect_evidence, extract_stay_points, DlInfMa, DlInfMaConfig, ExtractionConfig,
+    extract_stay_points, DlInfMa, DlInfMaConfig, Engine, ExtractionConfig, TripBatch,
 };
 use dlinfma::geo::Point;
 use dlinfma::synth::{
@@ -79,10 +79,13 @@ fn empty_dataset_end_to_end() {
         waybills: vec![],
         stations: vec![],
     };
-    let stays = extract_stay_points(&ds, &ExtractionConfig::paper_defaults());
-    let pool = build_pool(&ds, &stays, 40.0);
-    assert!(pool.is_empty());
-    assert!(collect_evidence(&ds).is_empty());
+    assert!(extract_stay_points(&ds, &ExtractionConfig::paper_defaults()).is_empty());
+    let mut engine = Engine::new(ds.addresses.clone(), DlInfMaConfig::fast());
+    engine.ingest(&TripBatch::full(&ds));
+    assert!(engine.pool().is_empty());
+    assert!(engine.pool().nearest(&Point::ZERO).is_none());
+    assert!(engine.evidence(AddressId(0)).is_none());
+    assert_eq!(engine.samples().count(), 0);
     let dlinfma = DlInfMa::prepare(&ds, DlInfMaConfig::fast());
     assert!(dlinfma.infer(AddressId(0)).is_none());
 }
@@ -133,10 +136,14 @@ fn waybills_with_identical_times_and_duplicated_addresses() {
         }],
     };
     ds.validate();
-    let evidence = collect_evidence(&ds);
-    assert_eq!(evidence.len(), 1);
-    assert_eq!(evidence[0].trips.len(), 1, "one trip despite 3 waybills");
-    assert_eq!(evidence[0].trips[0].1, 200.0);
+    let mut engine = Engine::new(ds.addresses.clone(), DlInfMaConfig::fast());
+    engine.ingest(&TripBatch::full(&ds));
+    let evidence = engine
+        .evidence(AddressId(0))
+        .expect("the address was delivered");
+    assert_eq!(evidence.trips.len(), 1, "one trip despite 3 waybills");
+    assert_eq!(evidence.trips[0].1, 200.0);
+    assert_eq!(engine.samples().count(), 1);
 }
 
 #[test]

@@ -88,18 +88,29 @@ fn route_planning_over_inferred_locations_tracks_reality_better() {
 
 #[test]
 fn incremental_pool_supports_the_same_pipeline() {
-    use dlinfma::core::{build_pool_incremental, extract_stay_points, ExtractionConfig};
+    use dlinfma::core::Engine;
+    use dlinfma::synth::{replay, TripBatch};
     let (_, ds) = generate(Preset::SubBJ, Scale::Tiny, 102);
-    let stays = extract_stay_points(&ds, &ExtractionConfig::paper_defaults());
-    // Bi-weekly batching (2 days at tiny scale to force several batches).
-    let pool = build_pool_incremental(&ds, &stays, 40.0, 2.0 * 86_400.0);
-    assert!(!pool.is_empty());
+    // Periodic regeneration: the engine ingests 2-day batches (at tiny
+    // scale, to force several batches) and grows its pool incrementally.
+    let days: Vec<TripBatch> = replay(&ds).collect();
+    let mut engine = Engine::new(ds.addresses.clone(), DlInfMaConfig::fast());
+    for pair in days.chunks(2) {
+        engine.ingest(&TripBatch {
+            trips: pair.iter().flat_map(|d| d.trips.clone()).collect(),
+            waybills: pair.iter().flat_map(|d| d.waybills.clone()).collect(),
+            ..pair[0].clone()
+        });
+    }
+    assert!(days.len() > 2, "several batches");
+    assert!(!engine.pool().is_empty());
     // Every retrieved candidate set remains non-empty for delivered addresses
     // with at least one pre-confirmation stay.
-    let evidence = dlinfma::core::collect_evidence(&ds);
-    let nonempty = evidence
-        .iter()
-        .filter(|e| !dlinfma::core::retrieve_candidates(&pool, e).is_empty())
+    let sampled = engine.samples().count();
+    let nonempty = engine
+        .samples()
+        .filter(|s| !s.candidates.is_empty())
         .count();
-    assert!(nonempty * 10 >= evidence.len() * 8);
+    assert!(sampled > 0);
+    assert!(nonempty * 10 >= sampled * 8);
 }
