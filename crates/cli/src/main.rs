@@ -612,7 +612,6 @@ fn run() -> Result<(), String> {
             let cell = std::sync::Arc::new(dlinfma_store::SnapshotCell::new());
             let cfg = dlinfma_serve::ServeConfig {
                 addr: format!("127.0.0.1:{port}"),
-                ..dlinfma_serve::ServeConfig::default()
             };
             let mut server = dlinfma_serve::Server::start(cfg, std::sync::Arc::clone(&cell))
                 .map_err(|e| format!("bind 127.0.0.1:{port}: {e}"))?;

@@ -1,7 +1,10 @@
 //! End-to-end tests driving the `dlinfma` binary.
 
-use dlinfma_obs::JsonValue;
-use std::process::Command;
+use dlinfma_obs::{JsonValue, Stopwatch};
+use dlinfma_serve::HttpClient;
+use std::io::{BufRead, BufReader, Read};
+use std::process::{Command, Stdio};
+use std::time::Duration;
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dlinfma"))
@@ -198,4 +201,82 @@ fn geojson_export_is_valid() {
     assert!((115.0..118.0).contains(&lng), "lng {lng}");
     assert!((39.0..41.0).contains(&lat), "lat {lat}");
     std::fs::remove_file(&path).ok();
+}
+
+/// `serve` over a quickly replayed Tiny world, with no model training.
+const SERVE_TINY: [&str; 7] = [
+    "serve",
+    "--scale",
+    "tiny",
+    "--day-delay-ms",
+    "0",
+    "--train-days",
+    "99",
+];
+
+#[test]
+fn serve_self_check_counts_only_client_connections() {
+    let out = bin()
+        .args(SERVE_TINY)
+        .args(["--self-check", "10"])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("self-check: 10 epoch-consistent responses"),
+        "stdout: {text}"
+    );
+    // The self-check client is the only client; the connect that wakes
+    // the accept loop at shutdown is not counted.
+    assert!(text.contains("over 1 connections"), "stdout: {text}");
+}
+
+#[test]
+fn serve_exits_after_get_shutdown() {
+    let mut child = bin()
+        .args(SERVE_TINY)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
+    let mut line = String::new();
+    while !line.starts_with("serving on http://") {
+        line.clear();
+        assert!(
+            stdout.read_line(&mut line).expect("read stdout") > 0,
+            "serve exited before announcing its address"
+        );
+    }
+    let addr = line["serving on http://".len()..]
+        .split_whitespace()
+        .next()
+        .expect("address after the URL scheme");
+    let mut client = HttpClient::connect(addr).expect("connect");
+    assert_eq!(client.get("/shutdown").expect("shutdown request").0, 200);
+
+    // Keep draining stdout so the child never blocks on a full pipe.
+    let drain = dlinfma_pool::spawn_service("test-serve-stdout", move || {
+        let mut rest = String::new();
+        stdout.read_to_string(&mut rest).map(|_| rest)
+    });
+    let clock = Stopwatch::start();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("poll child") {
+            break status;
+        }
+        if clock.elapsed() > Duration::from_secs(10) {
+            child.kill().ok();
+            panic!("serve still running 10 s after GET /shutdown");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(status.success(), "serve exited with {status}");
+    let rest = drain.join().expect("drain thread").expect("read stdout");
+    assert!(rest.contains("over 1 connections"), "stdout: {rest}");
 }

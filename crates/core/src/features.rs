@@ -176,8 +176,7 @@ pub struct AddressSample {
     /// delivery location; `None` until labelled by evaluation code.
     pub label: Option<usize>,
     /// Distance (m) from each candidate to the ground-truth delivery
-    /// location, parallel to `candidates`; set together with `label` and
-    /// consumed by spatially-soft training targets.
+    /// location, parallel to `candidates`; set together with `label`.
     pub truth_distances: Option<Vec<f64>>,
 }
 

@@ -56,19 +56,6 @@ pub struct LocMatcherConfig {
     pub patience: usize,
     /// Learning-rate schedule (paper: halve every 5 epochs).
     pub lr_decay: StepDecay,
-    /// Candidate-subset augmentation: at train time each *negative*
-    /// candidate is kept with this probability (resampled every epoch), so
-    /// one address yields many distinct candidate sets. Candidates are
-    /// exchangeable, making this a label-preserving augmentation; `1.0`
-    /// disables it (the paper's setting — its 20-month datasets do not need
-    /// augmentation, a few simulated weeks do).
-    pub candidate_keep_prob: f64,
-    /// Spatially-soft training targets: `Some(tau)` replaces the one-hot
-    /// label with `softmax(-d_k / tau)` over the candidates' distances to
-    /// the ground truth, so near-misses are not penalized like gross errors.
-    /// `None` is the paper's one-hot cross-entropy; the synthetic-scale
-    /// experiments enable it (see EXPERIMENTS.md).
-    pub soft_label_tau_m: Option<f64>,
     /// RNG seed for initialization, shuffling and dropout.
     pub seed: u64,
 }
@@ -92,8 +79,6 @@ impl LocMatcherConfig {
             max_epochs: 100,
             patience: 5,
             lr_decay: StepDecay::paper_defaults(),
-            candidate_keep_prob: 1.0,
-            soft_label_tau_m: None,
             seed: 0,
         }
     }
@@ -125,49 +110,6 @@ impl LocMatcherConfig {
     fn context_dim(&self) -> usize {
         self.poi_embed_dim + 1
     }
-}
-
-/// Spatially-soft targets: `softmax(-d_k / tau)` over candidate distances
-/// to the ground truth.
-fn soft_targets(distances: &[f64], tau: f64) -> Vec<f32> {
-    let max_neg = distances.iter().fold(f64::MIN, |m, &d| m.max(-d / tau));
-    let exps: Vec<f64> = distances
-        .iter()
-        .map(|&d| (-d / tau - max_neg).exp())
-        .collect();
-    let denom: f64 = exps.iter().sum();
-    exps.into_iter().map(|e| (e / denom) as f32).collect()
-}
-
-/// Candidate-subset augmentation: keeps the label candidate and each
-/// negative with probability `keep_prob`; returns the reduced sample and
-/// the label's new index. `keep_prob >= 1` returns the sample unchanged.
-fn augment(sample: &AddressSample, keep_prob: f64, rng: &mut StdRng) -> (AddressSample, usize) {
-    // lint: allow(L2, train() is only handed labelled samples by construction)
-    let target = sample.label.expect("training samples are labelled");
-    if keep_prob >= 1.0 || sample.candidates.len() <= 2 {
-        return (sample.clone(), target);
-    }
-    let mut out = sample.clone();
-    out.candidates.clear();
-    out.features.clear();
-    let mut kept_distances = Vec::new();
-    let mut new_target = 0;
-    for (i, (c, f)) in sample.candidates.iter().zip(&sample.features).enumerate() {
-        if i == target {
-            new_target = out.candidates.len();
-        } else if !rng.gen_bool(keep_prob) {
-            continue;
-        }
-        out.candidates.push(*c);
-        out.features.push(f.clone());
-        if let Some(d) = &sample.truth_distances {
-            kept_distances.push(d[i]);
-        }
-    }
-    out.truth_distances = sample.truth_distances.as_ref().map(|_| kept_distances);
-    out.label = Some(new_target);
-    (out, new_target)
 }
 
 /// Training statistics returned by [`LocMatcher::train`].
@@ -367,11 +309,10 @@ impl LocMatcher {
     /// The full training loop: Adam + step decay, early stopping, pooled
     /// mini-batches. Training is bit-for-bit reproducible at any worker
     /// count: each sample draws a private RNG seed *sequentially* from the
-    /// epoch RNG before the batch fans out (so augmentation and dropout
-    /// never depend on scheduling), and losses and gradients are
-    /// accumulated on the caller in batch order, giving the same float
-    /// additions as a serial run. Emits a `training` span when the global
-    /// collector is enabled.
+    /// epoch RNG before the batch fans out (so dropout never depends on
+    /// scheduling), and losses and gradients are accumulated on the caller
+    /// in batch order, giving the same float additions as a serial run.
+    /// Emits a `training` span when the global collector is enabled.
     pub fn train_pooled_with_progress(
         &mut self,
         train: &[AddressSample],
@@ -381,9 +322,10 @@ impl LocMatcher {
     ) -> TrainReport {
         let _span = dlinfma_obs::span(dlinfma_obs::stage::TRAINING);
         let mut rng = StdRng::seed_from_u64(self.cfg.seed.wrapping_add(1));
-        let usable: Vec<&AddressSample> = train
+        let usable: Vec<(&AddressSample, usize)> = train
             .iter()
-            .filter(|s| s.label.is_some() && !s.candidates.is_empty())
+            .filter(|s| !s.candidates.is_empty())
+            .filter_map(|s| Some((s, s.label?)))
             .collect();
         let mut adam = Adam::new(self.cfg.lr);
         let mut best_val = f32::INFINITY;
@@ -409,18 +351,10 @@ impl LocMatcher {
                 let results: Vec<(f32, Vec<(ParamId, Tensor)>)> =
                     pool.par_map(&seeded, |&(i, seed)| {
                         let mut srng = StdRng::seed_from_u64(seed);
-                        let (sample, target) =
-                            augment(usable[i], this.cfg.candidate_keep_prob, &mut srng);
-                        let sample = &sample;
+                        let (sample, target) = usable[i];
                         let mut g = Graph::new();
                         let logits = this.forward(&mut g, sample, true, &mut srng);
-                        let loss = match (this.cfg.soft_label_tau_m, &sample.truth_distances) {
-                            (Some(tau), Some(d)) => {
-                                let q = soft_targets(d, tau);
-                                g.softmax_cross_entropy_soft(logits, &q)
-                            }
-                            _ => g.softmax_cross_entropy_1d(logits, target),
-                        };
+                        let loss = g.softmax_cross_entropy_1d(logits, target);
                         let loss_val = g.value(loss).item();
                         let grads = g.backward(loss);
                         (loss_val, g.take_param_grads(grads))

@@ -11,20 +11,17 @@
 //! The crate also provides the spatial data structures the pipeline and the
 //! baselines rely on:
 //!
-//! * [`GeoHash`] cells (used by the UNet-based baseline's 9×9 raster),
 //! * a uniform [`GridIndex`] for radius queries over large point sets,
 //! * a static [`KdTree`] for nearest-neighbour lookups,
 //! * a [`BBox`] axis-aligned bounding box.
 
 pub mod bbox;
-pub mod geohash;
 pub mod grid;
 pub mod kdtree;
 pub mod latlng;
 pub mod point;
 
 pub use bbox::BBox;
-pub use geohash::GeoHash;
 pub use grid::GridIndex;
 pub use kdtree::KdTree;
 pub use latlng::{LatLng, Projection};

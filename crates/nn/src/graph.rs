@@ -86,11 +86,6 @@ enum Op {
         target: usize,
         probs: Tensor,
     },
-    /// Cross-entropy of 1-D logits against a soft target distribution.
-    SoftmaxCeSoft {
-        target: Tensor,
-        probs: Tensor,
-    },
     /// 2-D convolution: parents `(input [ci,h,w], kernel [co,ci,kh,kw],
     /// bias [co])`, stride 1, symmetric zero padding.
     Conv2d {
@@ -479,35 +474,6 @@ impl Graph {
         )
     }
 
-    /// Cross-entropy of 1-D logits against a soft target distribution `q`
-    /// (non-negative, summing to 1): `-sum_k q_k log softmax(logits)_k`.
-    pub fn softmax_cross_entropy_soft(&mut self, logits: Var, q: &[f32]) -> Var {
-        let lv = &self.nodes[logits.0].value;
-        assert_eq!(lv.shape().len(), 1, "expected 1-D logits");
-        assert_eq!(lv.numel(), q.len(), "target length mismatch");
-        debug_assert!(
-            (q.iter().sum::<f32>() - 1.0).abs() < 1e-4,
-            "q must sum to 1"
-        );
-        let max = lv.data().iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let exps: Vec<f32> = lv.data().iter().map(|&x| (x - max).exp()).collect();
-        let denom: f32 = exps.iter().sum();
-        let probs: Vec<f32> = exps.iter().map(|&e| e / denom).collect();
-        let loss: f32 = q
-            .iter()
-            .zip(&probs)
-            .map(|(&qk, &pk)| -qk * pk.max(1e-12).ln())
-            .sum();
-        self.push(
-            Tensor::scalar(loss),
-            vec![logits.0],
-            Op::SoftmaxCeSoft {
-                target: Tensor::vector(q),
-                probs: Tensor::vector(&probs),
-            },
-        )
-    }
-
     /// Stride-1 2-D convolution with symmetric zero padding.
     ///
     /// `input` is `[c_in, h, w]`, `kernel` is `[c_out, c_in, kh, kw]`,
@@ -792,16 +758,6 @@ impl Graph {
                 for x in &mut gl {
                     *x *= scale;
                 }
-                add_grad(node.parents[0], Tensor::vector(&gl));
-            }
-            Op::SoftmaxCeSoft { target, probs } => {
-                let scale = g.item();
-                let gl: Vec<f32> = probs
-                    .data()
-                    .iter()
-                    .zip(target.data())
-                    .map(|(&p, &q)| (p - q) * scale)
-                    .collect();
                 add_grad(node.parents[0], Tensor::vector(&gl));
             }
             Op::Conv2d { pad } => {

@@ -188,18 +188,6 @@ fn grad_softmax_cross_entropy() {
 }
 
 #[test]
-fn grad_softmax_cross_entropy_soft() {
-    let mut store = ParamStore::new();
-    let mut r = rng(21);
-    let x = store.register("x", Tensor::randn(vec![5], 1.0, &mut r));
-    let q = [0.1f32, 0.4, 0.3, 0.15, 0.05];
-    assert_grads(&mut store, &[x], &mut |g, s| {
-        let xv = g.param(x, s.value(x).clone());
-        g.softmax_cross_entropy_soft(xv, &q)
-    });
-}
-
-#[test]
 fn grad_conv2d() {
     let mut store = ParamStore::new();
     let mut r = rng(9);

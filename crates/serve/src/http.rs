@@ -52,73 +52,134 @@ fn split_target(target: &str) -> (String, Vec<(String, String)>) {
     }
 }
 
-/// Reads one request head off the connection.
-///
-/// `Ok(None)` means the peer closed cleanly between requests. Read-timeout
-/// errors (`WouldBlock` / `TimedOut`) bubble up so the connection loop can
-/// poll its stop flag and come back.
-pub(crate) fn read_request(reader: &mut BufReader<TcpStream>) -> io::Result<Option<Request>> {
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
-        return Ok(None);
+/// Longest request line or header line the server reads, in bytes,
+/// line terminator included.
+pub(crate) const MAX_LINE_BYTES: u64 = 8 * 1024;
+/// Most header lines the server reads in one request head.
+pub(crate) const MAX_HEADERS: usize = 100;
+
+/// What [`read_request`] found on the connection.
+#[derive(Debug)]
+pub(crate) enum Head {
+    /// The peer closed the connection (between requests or mid-head), or
+    /// its read side was shut down.
+    Closed,
+    /// A complete, well-formed request head.
+    Request(Request),
+    /// A head that broke a limit or did not parse: answer with `status`
+    /// and close the connection.
+    Rejected {
+        /// 400, 414 or 431.
+        status: u16,
+        /// The error message for the JSON body.
+        message: &'static str,
+    },
+}
+
+/// One line of at most [`MAX_LINE_BYTES`], without its `\r\n` or `\n`.
+enum Line {
+    Text(String),
+    /// The peer closed before the line ended.
+    Eof,
+    /// No `\n` within [`MAX_LINE_BYTES`].
+    TooLong,
+    NotUtf8,
+}
+
+fn read_line(reader: &mut impl BufRead) -> io::Result<Line> {
+    let mut buf = Vec::new();
+    let n = reader
+        .by_ref()
+        .take(MAX_LINE_BYTES)
+        .read_until(b'\n', &mut buf)?;
+    if buf.last() != Some(&b'\n') {
+        return Ok(if n as u64 == MAX_LINE_BYTES {
+            Line::TooLong
+        } else {
+            Line::Eof
+        });
     }
+    buf.pop();
+    if buf.last() == Some(&b'\r') {
+        buf.pop();
+    }
+    Ok(String::from_utf8(buf).map_or(Line::NotUtf8, Line::Text))
+}
+
+/// Reads one request head off the connection, blocking until it is
+/// complete however it is split across packets. The head is bounded:
+/// [`MAX_LINE_BYTES`] per line and [`MAX_HEADERS`] header lines.
+pub(crate) fn read_request(reader: &mut impl BufRead) -> io::Result<Head> {
+    let rejected = |status, message| Ok(Head::Rejected { status, message });
+    let line = match read_line(reader)? {
+        Line::Text(line) => line,
+        Line::Eof => return Ok(Head::Closed),
+        Line::TooLong => return rejected(414, "request line too long"),
+        Line::NotUtf8 => return rejected(400, "request line is not UTF-8"),
+    };
     let mut parts = line.split_whitespace();
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) => (m.to_string(), t.to_string(), v.to_string()),
-        _ => {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("malformed request line: {line:?}"),
-            ))
-        }
+    let (Some(method), Some(target), Some(version)) = (parts.next(), parts.next(), parts.next())
+    else {
+        return rejected(400, "malformed request line");
     };
     let mut close = version == "HTTP/1.0";
-    loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            return Ok(None);
-        }
-        let header = header.trim();
+    for _ in 0..=MAX_HEADERS {
+        let header = match read_line(reader)? {
+            Line::Text(header) => header,
+            Line::Eof => return Ok(Head::Closed),
+            Line::TooLong => return rejected(431, "header line too long"),
+            Line::NotUtf8 => return rejected(400, "header line is not UTF-8"),
+        };
         if header.is_empty() {
-            break;
+            let (path, query) = split_target(target);
+            return Ok(Head::Request(Request {
+                method: method.to_string(),
+                path,
+                query,
+                close,
+            }));
         }
-        if let Some((k, v)) = header.split_once(':') {
-            if k.trim().eq_ignore_ascii_case("connection") {
-                let v = v.trim();
-                if v.eq_ignore_ascii_case("close") {
-                    close = true;
-                } else if v.eq_ignore_ascii_case("keep-alive") {
-                    close = false;
-                }
+        let Some((k, v)) = header.split_once(':') else {
+            return rejected(400, "malformed header line");
+        };
+        if k.trim().eq_ignore_ascii_case("connection") {
+            let v = v.trim();
+            if v.eq_ignore_ascii_case("close") {
+                close = true;
+            } else if v.eq_ignore_ascii_case("keep-alive") {
+                close = false;
             }
         }
     }
-    let (path, query) = split_target(&target);
-    Ok(Some(Request {
-        method,
-        path,
-        query,
-        close,
-    }))
+    rejected(431, "too many header lines")
 }
 
 /// Writes a complete JSON response with `Content-Length` framing.
-pub(crate) fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> io::Result<()> {
+/// `close` announces that the server closes the connection after it.
+pub(crate) fn write_response(
+    mut out: &TcpStream,
+    status: u16,
+    body: &str,
+    close: bool,
+) -> io::Result<()> {
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        414 => "URI Too Long",
+        431 => "Request Header Fields Too Large",
         _ => "Internal Server Error",
     };
+    let connection = if close { "close" } else { "keep-alive" };
     let head = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: keep-alive\r\n\r\n",
+         Content-Length: {}\r\nConnection: {connection}\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    out.write_all(head.as_bytes())?;
+    out.write_all(body.as_bytes())?;
+    out.flush()
 }
 
 /// A keep-alive HTTP/1.1 client speaking the server's JSON dialect.

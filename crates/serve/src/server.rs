@@ -2,41 +2,36 @@
 //!
 //! Threading model: one named service thread accepts, one per live
 //! connection serves (the expected concurrency is a handful of load-test
-//! clients, not C10K). All request handling reads a single
-//! [`LocationSnapshot`] out of the shared [`SnapshotCell`] per request (or
-//! per `/batch`), so a response never mixes state from two epochs and
-//! never waits on the ingest thread.
+//! clients, not C10K). Every thread blocks in std I/O and nothing polls:
+//! a stop request wakes the accept thread with a loopback connect and each
+//! connection thread by shutting down the read side of its stream. All
+//! request handling reads a single [`LocationSnapshot`] out of the shared
+//! [`SnapshotCell`] per request (or per `/batch`), so a response never
+//! mixes state from two epochs and never waits on the ingest thread.
 
-use crate::http::{read_request, write_response, Request};
+use crate::http::{read_request, write_response, Head, Request};
 use dlinfma_obs::{self as obs, JsonValue};
 use dlinfma_pool::spawn_service;
 use dlinfma_store::{LocationSnapshot, QuerySource, SnapshotCell};
 use dlinfma_synth::AddressId;
+use std::collections::BTreeMap;
 use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
-/// Tunables for [`Server::start`].
+/// Settings for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks a free port (see [`Server::addr`]).
     pub addr: String,
-    /// Accept-loop poll interval while no connection is pending.
-    pub accept_poll_ms: u64,
-    /// Per-connection read timeout — the granularity at which idle
-    /// connections notice a shutdown.
-    pub read_timeout_ms: u64,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_string(),
-            accept_poll_ms: 2,
-            read_timeout_ms: 25,
         }
     }
 }
@@ -48,62 +43,116 @@ pub struct ServeStats {
     pub requests: u64,
     /// Requests answered with a 4xx/5xx status.
     pub errors: u64,
-    /// Connections accepted.
+    /// Client connections accepted.
     pub connections: u64,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Shared {
+    /// The bound address.
+    addr: SocketAddr,
     stop: AtomicBool,
     requests: AtomicU64,
     errors: AtomicU64,
     connections: AtomicU64,
+    /// Live connections by id, each with a clone of its stream to wake its
+    /// blocked read at shutdown.
+    live: Mutex<BTreeMap<u64, TcpStream>>,
+    /// Signalled when `live` becomes empty.
+    drained: Condvar,
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Shared {
+    /// Registers an accepted connection and counts it, or returns `None`
+    /// once a stop was requested (the caller then drops the connection).
+    /// The flag is read under the registry lock, which
+    /// [`Shared::request_stop`] takes after setting it, so the lock orders
+    /// the two: a connection is either refused here or woken there.
+    fn register(self: &Arc<Self>, wake: TcpStream) -> Option<Registration> {
+        let mut live = lock(&self.live);
+        if self.stop.load(Ordering::Relaxed) {
+            return None;
+        }
+        let id = self.connections.fetch_add(1, Ordering::Relaxed);
+        live.insert(id, wake);
+        Some(Registration {
+            shared: Arc::clone(self),
+            id,
+        })
+    }
+
+    /// Sets the stop flag and wakes every blocked thread: the accept thread
+    /// with a loopback connect, which it drops, and each connection thread
+    /// by shutting down the read side of its stream. The write side stays
+    /// open, so a response being handled still goes out. Idempotent.
+    fn request_stop(&self) {
+        if self.stop.swap(true, Ordering::Relaxed) {
+            return;
+        }
+        // A wildcard bind address (`0.0.0.0`, `::`) connects to this host.
+        let _ = TcpStream::connect(self.addr);
+        for stream in lock(&self.live).values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+}
+
+/// A live connection's registry entry; dropped when its thread exits.
+struct Registration {
+    shared: Arc<Shared>,
+    id: u64,
+}
+
+impl Drop for Registration {
+    fn drop(&mut self) {
+        let mut live = lock(&self.shared.live);
+        live.remove(&self.id);
+        if live.is_empty() {
+            self.shared.drained.notify_all();
+        }
+    }
 }
 
 /// The running server. Dropping it (or calling [`Server::shutdown`]) stops
-/// the accept loop, drains every connection thread and joins them.
+/// the accept loop and waits for every connection thread to finish.
 #[derive(Debug)]
 pub struct Server {
-    addr: SocketAddr,
     shared: Arc<Shared>,
-    cell: Arc<SnapshotCell>,
     accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
     /// Binds and starts serving queries against `cell`'s current snapshot.
     pub fn start(cfg: ServeConfig, cell: Arc<SnapshotCell>) -> io::Result<Server> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared::default());
-        let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
+        let shared = Arc::new(Shared {
+            addr: listener.local_addr()?,
+            stop: AtomicBool::new(false),
+            requests: AtomicU64::new(0),
+            errors: AtomicU64::new(0),
+            connections: AtomicU64::new(0),
+            live: Mutex::new(BTreeMap::new()),
+            drained: Condvar::new(),
+        });
         let accept = {
             let shared = Arc::clone(&shared);
-            let cell = Arc::clone(&cell);
-            let conns = Arc::clone(&conns);
             spawn_service("serve-accept", move || {
-                accept_loop(&listener, &cfg, &shared, &cell, &conns);
+                accept_loop(&listener, &shared, &cell)
             })
         };
         Ok(Server {
-            addr,
             shared,
-            cell,
             accept: Some(accept),
-            conns,
         })
     }
 
     /// The bound address (resolves port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The snapshot cell this server reads from.
-    pub fn cell(&self) -> &Arc<SnapshotCell> {
-        &self.cell
+        self.shared.addr
     }
 
     /// Current counters.
@@ -121,23 +170,19 @@ impl Server {
         self.shared.stop.load(Ordering::Relaxed)
     }
 
-    /// Stops accepting, lets in-flight requests finish, joins every
-    /// thread. Idempotent.
+    /// Stops accepting, lets in-flight requests finish, and waits until
+    /// every connection thread has exited. Idempotent.
     pub fn shutdown(&mut self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
+        self.shared.request_stop();
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        let handles: Vec<JoinHandle<()>> = {
-            let mut guard = self
-                .conns
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            guard.drain(..).collect()
-        };
-        for h in handles {
-            let _ = h.join();
-        }
+        let live = lock(&self.shared.live);
+        let _drained = self
+            .shared
+            .drained
+            .wait_while(live, |live| !live.is_empty())
+            .unwrap_or_else(PoisonError::into_inner);
     }
 }
 
@@ -147,76 +192,54 @@ impl Drop for Server {
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    cfg: &ServeConfig,
-    shared: &Arc<Shared>,
-    cell: &Arc<SnapshotCell>,
-    conns: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    while !shared.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                shared.connections.fetch_add(1, Ordering::Relaxed);
-                let shared = Arc::clone(shared);
-                let cell = Arc::clone(cell);
-                let read_timeout = Duration::from_millis(cfg.read_timeout_ms.max(1));
-                let handle = spawn_service("serve-conn", move || {
-                    conn_loop(stream, read_timeout, &shared, &cell);
-                });
-                conns
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(cfg.accept_poll_ms.max(1)));
-            }
-            Err(_) => {
-                // Transient accept error (e.g. aborted handshake): back off
-                // one poll interval and keep serving.
-                std::thread::sleep(Duration::from_millis(cfg.accept_poll_ms.max(1)));
-            }
-        }
-    }
-}
-
-fn conn_loop(stream: TcpStream, read_timeout: Duration, shared: &Shared, cell: &SnapshotCell) {
-    if stream.set_read_timeout(Some(read_timeout)).is_err() || stream.set_nodelay(true).is_err() {
-        return;
-    }
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut write_half = write_half;
-    let mut reader = BufReader::new(stream);
-    loop {
+/// Accepts until a stop request; the listener closes when this returns.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, cell: &Arc<SnapshotCell>) {
+    for stream in listener.incoming() {
         if shared.stop.load(Ordering::Relaxed) {
             return;
         }
-        match read_request(&mut reader) {
-            Ok(None) => return, // peer closed
-            Ok(Some(req)) => {
+        // A failed accept or clone loses only that one client.
+        let Ok(stream) = stream else { continue };
+        let Ok(wake) = stream.try_clone() else {
+            continue;
+        };
+        let Some(registration) = shared.register(wake) else {
+            return;
+        };
+        let cell = Arc::clone(cell);
+        spawn_service("serve-conn", move || {
+            conn_loop(stream, &registration.shared, &cell);
+            drop(registration);
+        });
+    }
+}
+
+/// Answers requests until the peer closes, asks to close, sends a head the
+/// server rejects, or a stop request shuts the read side down.
+fn conn_loop(stream: TcpStream, shared: &Shared, cell: &SnapshotCell) {
+    if stream.set_nodelay(true).is_err() {
+        return;
+    }
+    let mut reader = BufReader::new(stream);
+    while !shared.stop.load(Ordering::Relaxed) {
+        let (status, body, close) = match read_request(&mut reader) {
+            Ok(Head::Request(req)) => {
                 let (status, body) = handle(&req, shared, cell);
-                shared.requests.fetch_add(1, Ordering::Relaxed);
-                obs::counter(obs::names::SERVE_REQUESTS_TOTAL).inc();
-                if status >= 400 {
-                    shared.errors.fetch_add(1, Ordering::Relaxed);
-                    obs::counter(obs::names::SERVE_ERRORS_TOTAL).inc();
-                }
-                if write_response(&mut write_half, status, &body.render()).is_err() {
-                    return;
-                }
-                if req.close {
-                    return;
-                }
+                (status, body, req.close)
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // Idle tick: loop around to re-check the stop flag.
+            Ok(Head::Rejected { status, message }) => {
+                (status, error_body(message, cell.load().epoch()), true)
             }
-            Err(_) => return,
+            Ok(Head::Closed) | Err(_) => return,
+        };
+        shared.requests.fetch_add(1, Ordering::Relaxed);
+        obs::counter(obs::names::SERVE_REQUESTS_TOTAL).inc();
+        if status >= 400 {
+            shared.errors.fetch_add(1, Ordering::Relaxed);
+            obs::counter(obs::names::SERVE_ERRORS_TOTAL).inc();
+        }
+        if write_response(reader.get_ref(), status, &body.render(), close).is_err() || close {
+            return;
         }
     }
 }
@@ -368,7 +391,7 @@ fn handle(req: &Request, shared: &Shared, cell: &SnapshotCell) -> (u16, JsonValu
             )
         }
         "/shutdown" => {
-            shared.stop.store(true, Ordering::Relaxed);
+            shared.request_stop();
             (
                 200,
                 JsonValue::Obj(vec![(
@@ -378,5 +401,40 @@ fn handle(req: &Request, shared: &Shared, cell: &SnapshotCell) -> (u16, JsonValu
             )
         }
         _ => (404, error_body("no such endpoint", cell.load().epoch())),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::HttpClient;
+    use std::time::Duration;
+
+    /// A connection leaves the registry when its thread exits, so the
+    /// server keeps nothing for connections that are gone.
+    #[test]
+    fn closed_connections_leave_the_registry() {
+        let cell = Arc::new(SnapshotCell::new());
+        let mut server = Server::start(ServeConfig::default(), cell).unwrap();
+        for _ in 0..200 {
+            let mut client = HttpClient::connect(server.addr()).unwrap();
+            assert_eq!(client.get("/healthz").unwrap().0, 200);
+        }
+        let clock = obs::Stopwatch::start();
+        let live = lock(&server.shared.live);
+        let (live, _) = server
+            .shared
+            .drained
+            .wait_timeout_while(live, Duration::from_secs(5), |live| !live.is_empty())
+            .unwrap();
+        assert!(
+            live.is_empty(),
+            "{} of 200 closed connections still registered after {:?}",
+            live.len(),
+            clock.elapsed()
+        );
+        drop(live);
+        assert_eq!(server.stats().connections, 200);
+        server.shutdown();
     }
 }

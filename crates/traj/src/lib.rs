@@ -10,13 +10,9 @@
 //! the paper prescribes (`D_max = 20 m`, `T_min = 30 s` by default).
 
 pub mod noise;
-pub mod segment;
-pub mod simplify;
 pub mod staypoint;
 pub mod types;
 
 pub use noise::{filter_noise, NoiseFilterConfig};
-pub use segment::{segment_trips, SegmentConfig};
-pub use simplify::simplify;
 pub use staypoint::{detect_stay_points, StayPoint, StayPointConfig};
 pub use types::{TrajPoint, Trajectory};
