@@ -14,7 +14,7 @@ use dlinfma_cluster::{
     dbscan, grid_clusters, hierarchical_cluster, kmeans, optics_extract, DbscanConfig, OpticsConfig,
 };
 use dlinfma_core::{extract_stay_points, ExtractionConfig};
-use dlinfma_geo::{centroid, KdTree, Point};
+use dlinfma_geo::{centroid, GridIndex, Point};
 use dlinfma_synth::{generate, Preset, Scale};
 use rand::{rngs::StdRng, SeedableRng};
 use std::collections::HashMap;
@@ -31,10 +31,13 @@ fn centroids_of(points: &[Point], labels: &[Option<usize>]) -> Vec<Point> {
 }
 
 fn coverage(pool: &[Point], truths: &[Point]) -> (f64, f64) {
-    let tree = KdTree::build(pool.iter().map(|&p| (p, ())).collect());
+    // Any cell size gives the exact nearest point; one about the pool's
+    // spacing keeps the ring search short.
+    let cell = dlinfma_core::params::CLUSTER_DISTANCE_M;
+    let index = GridIndex::from_items(cell, pool.iter().map(|&p| (p, ())));
     let mut ds: Vec<f64> = truths
         .iter()
-        .filter_map(|t| tree.nearest(t).map(|(_, _, d)| d))
+        .filter_map(|t| index.nearest(t).map(|(_, _, d)| d))
         .collect();
     ds.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let mae = ds.iter().sum::<f64>() / ds.len().max(1) as f64;

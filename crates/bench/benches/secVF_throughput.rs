@@ -12,7 +12,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dlinfma_baselines::{GeoRank, UNetBaseline, UNetConfig};
 use dlinfma_core::{
-    extract_stay_points, extract_stay_points_parallel, DlInfMaConfig, Engine, ExtractionConfig,
+    extract_batch_with_stats, extract_stay_points, DlInfMaConfig, Engine, ExtractionConfig,
     LocMatcher, TripBatch,
 };
 use dlinfma_eval::ExperimentWorld;
@@ -61,7 +61,7 @@ fn bench_pipeline(c: &mut Criterion) {
     group.bench_function("sequential", |b| b.iter(|| extract_stay_points(&ds, &cfg)));
     let pool = Pool::new(4);
     group.bench_function("parallel_4", |b| {
-        b.iter(|| extract_stay_points_parallel(&ds, &cfg, &pool))
+        b.iter(|| extract_batch_with_stats(&ds.trips, &cfg, &pool))
     });
     group.finish();
 

@@ -705,9 +705,7 @@ fn run() -> Result<(), String> {
                 std::thread::sleep(std::time::Duration::from_millis(serve_ms));
             } else if self_check == 0 {
                 println!("serving until GET /shutdown ...");
-                while !server.stop_requested() {
-                    std::thread::sleep(std::time::Duration::from_millis(50));
-                }
+                server.wait();
             }
             server.shutdown();
             let stats = server.stats();

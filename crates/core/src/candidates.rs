@@ -15,7 +15,7 @@
 //! after every ingest.
 
 use dlinfma_detcol::OrdSet;
-use dlinfma_geo::{KdTree, Point};
+use dlinfma_geo::Point;
 use dlinfma_synth::{CourierId, TripId};
 
 /// Identifier of a location candidate within a [`CandidatePool`].
@@ -56,7 +56,6 @@ pub struct CandidatePool {
     /// Per trip (indexed by `TripId`), chronologically-sorted
     /// `(candidate, stay mid-time)` visits.
     trip_visits: Vec<Vec<(CandidateId, f64)>>,
-    kdtree: KdTree<CandidateId>,
 }
 
 impl CandidatePool {
@@ -90,23 +89,15 @@ impl CandidatePool {
         self.trip_visits.len()
     }
 
-    /// The candidate nearest to `pos` (used to label training data with the
-    /// ground-truth delivery location), or `None` for an empty pool.
-    pub fn nearest(&self, pos: &Point) -> Option<(CandidateId, f64)> {
-        self.kdtree.nearest(pos).map(|(_, &id, d)| (id, d))
-    }
-
     /// Assembles a pool from already-materialized parts (the staged engine's
-    /// path); builds the spatial index over the given candidates.
+    /// path).
     pub(crate) fn from_parts(
         candidates: Vec<LocationCandidate>,
         trip_visits: Vec<Vec<(CandidateId, f64)>>,
     ) -> Self {
-        let kdtree = KdTree::build(candidates.iter().map(|c| (c.pos, c.id)).collect());
         Self {
             candidates,
             trip_visits,
-            kdtree,
         }
     }
 }
@@ -230,8 +221,8 @@ mod tests {
             .iter()
             .filter(|&&a| {
                 let gt = city.addresses[a as usize].true_delivery_location;
-                let mut nearest = fleet.shards().iter().filter_map(|e| e.pool().nearest(&gt));
-                nearest.any(|(_, d)| d < 30.0)
+                let mut candidates = fleet.shards().iter().flat_map(|e| e.pool().candidates());
+                candidates.any(|c| c.pos.distance(&gt) < 30.0)
             })
             .count();
         assert!(

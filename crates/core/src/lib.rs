@@ -45,7 +45,4 @@ pub use locmatcher::{LocMatcher, LocMatcherConfig, TrainReport};
 pub use pipeline::{DlInfMa, DlInfMaConfig, PoolMethod};
 pub use sharded::ShardedEngine;
 pub use snapshot::{Checkpoint, RestoredEngine, SnapshotError};
-pub use staypoints::{
-    extract_batch_with_stats, extract_stay_points, extract_stay_points_parallel, ExtractionConfig,
-    TripStays,
-};
+pub use staypoints::{extract_batch_with_stats, extract_stay_points, ExtractionConfig, TripStays};

@@ -277,48 +277,25 @@ impl LocMatcher {
 
     /// Trains with Adam + step decay and early stopping on validation loss,
     /// restoring the best-epoch weights. Samples without a label or without
-    /// candidates are skipped.
+    /// candidates are skipped. Runs on an inline (single-worker) pool; see
+    /// [`LocMatcher::train_pooled`] for the parallel path.
     pub fn train(&mut self, train: &[AddressSample], val: &[AddressSample]) -> TrainReport {
-        self.train_with_progress(train, val, &mut |_| {})
-    }
-
-    /// [`LocMatcher::train`] invoking `progress` after every epoch, so
-    /// long-running training can surface live loss curves. Runs on an
-    /// inline (single-worker) pool; see
-    /// [`LocMatcher::train_pooled_with_progress`] for the parallel path.
-    pub fn train_with_progress(
-        &mut self,
-        train: &[AddressSample],
-        val: &[AddressSample],
-        progress: &mut dyn FnMut(dlinfma_obs::EpochProgress),
-    ) -> TrainReport {
-        self.train_pooled_with_progress(train, val, &Pool::sequential(), progress)
+        self.train_pooled(train, val, &Pool::sequential())
     }
 
     /// [`LocMatcher::train`] running the forward/backward passes of each
-    /// mini-batch data-parallel on `pool`.
+    /// mini-batch data-parallel on `pool`. Training is bit-for-bit
+    /// reproducible at any worker count: each sample draws a private RNG
+    /// seed *sequentially* from the epoch RNG before the batch fans out (so
+    /// dropout never depends on scheduling), and losses and gradients are
+    /// accumulated on the caller in batch order, giving the same float
+    /// additions as a serial run. Emits a `training` span when the global
+    /// collector is enabled.
     pub fn train_pooled(
         &mut self,
         train: &[AddressSample],
         val: &[AddressSample],
         pool: &Pool,
-    ) -> TrainReport {
-        self.train_pooled_with_progress(train, val, pool, &mut |_| {})
-    }
-
-    /// The full training loop: Adam + step decay, early stopping, pooled
-    /// mini-batches. Training is bit-for-bit reproducible at any worker
-    /// count: each sample draws a private RNG seed *sequentially* from the
-    /// epoch RNG before the batch fans out (so dropout never depends on
-    /// scheduling), and losses and gradients are accumulated on the caller
-    /// in batch order, giving the same float additions as a serial run.
-    /// Emits a `training` span when the global collector is enabled.
-    pub fn train_pooled_with_progress(
-        &mut self,
-        train: &[AddressSample],
-        val: &[AddressSample],
-        pool: &Pool,
-        progress: &mut dyn FnMut(dlinfma_obs::EpochProgress),
     ) -> TrainReport {
         let _span = dlinfma_obs::span(dlinfma_obs::stage::TRAINING);
         let mut rng = StdRng::seed_from_u64(self.cfg.seed.wrapping_add(1));
@@ -373,14 +350,7 @@ impl LocMatcher {
 
             let val_loss = self.mean_loss_pooled(val, pool);
             val_losses.push(val_loss);
-            let improved = val_loss < best_val - 1e-5;
-            progress(dlinfma_obs::EpochProgress {
-                epoch,
-                train_loss: train_loss as f64,
-                val_loss: val_loss as f64,
-                improved,
-            });
-            if improved {
+            if val_loss < best_val - 1e-5 {
                 best_val = val_loss;
                 best_snapshot = self.store.snapshot();
                 since_best = 0;
@@ -401,22 +371,12 @@ impl LocMatcher {
     }
 
     /// Grid-search training, mirroring the paper's "grid search to find the
-    /// best hyperparameters for each method": trains one model per
-    /// `(learning rate, seed)` combination and keeps the one with the lowest
-    /// mean validation error (mean distance from the selected candidate to
-    /// the ground truth over labelled validation samples).
-    pub fn fit_best(
-        grid: &[LocMatcherConfig],
-        train: &[AddressSample],
-        val: &[AddressSample],
-    ) -> LocMatcher {
-        Self::fit_best_pooled(grid, train, val, &Pool::sequential())
-    }
-
-    /// [`LocMatcher::fit_best`] training each grid point data-parallel on
-    /// `pool`. The grid itself is walked serially (each model's training is
-    /// already pooled), so the selected model is independent of worker
-    /// count.
+    /// best hyperparameters for each method": trains one model per grid
+    /// point and keeps the one with the lowest mean validation error (mean
+    /// distance from the selected candidate to the ground truth over
+    /// labelled validation samples). Each grid point trains data-parallel
+    /// on `pool`; the grid itself is walked serially, so the selected model
+    /// is independent of worker count.
     pub fn fit_best_pooled(
         grid: &[LocMatcherConfig],
         train: &[AddressSample],
@@ -751,23 +711,20 @@ mod tests {
     }
 
     #[test]
-    fn progress_hook_fires_once_per_epoch() {
+    fn report_holds_one_train_and_val_loss_per_epoch() {
         let mut rng = StdRng::seed_from_u64(6);
         let train: Vec<AddressSample> = (0..20).map(|_| toy_sample(&mut rng, 5)).collect();
         let val: Vec<AddressSample> = (0..8).map(|_| toy_sample(&mut rng, 5)).collect();
         let mut cfg = LocMatcherConfig::fast();
         cfg.max_epochs = 4;
         let mut model = LocMatcher::new(cfg);
-        let mut seen = Vec::new();
-        let report = model.train_with_progress(&train, &val, &mut |p| seen.push(p));
-        assert_eq!(seen.len(), report.epochs);
+        let report = model.train(&train, &val);
+        assert!(report.epochs > 0);
+        assert_eq!(report.train_losses.len(), report.epochs);
         assert_eq!(report.val_losses.len(), report.epochs);
-        for (i, p) in seen.iter().enumerate() {
-            assert_eq!(p.epoch, i);
-            assert!(p.train_loss.is_finite());
-            assert_eq!(p.val_loss as f32, report.val_losses[i]);
-        }
-        assert!(seen.iter().any(|p| p.improved), "first epoch improves");
+        assert!(report.train_losses.iter().all(|l| l.is_finite()));
+        assert!(report.val_losses.iter().all(|l| l.is_finite()));
+        assert!(report.val_losses.contains(&report.best_val_loss));
     }
 
     #[test]

@@ -165,19 +165,9 @@ impl DlInfMa {
     }
 
     /// Trains LocMatcher on the given train/validation address splits.
-    /// Requires labels (see [`DlInfMa::label_with`]).
-    pub fn train(&mut self, train: &[AddressId], val: &[AddressId]) -> TrainReport {
-        self.train_with_progress(train, val, &mut |_| {})
-    }
-
-    /// [`DlInfMa::train`] with a per-epoch progress hook; also records the
+    /// Requires labels (see [`DlInfMa::label_with`]); records the
     /// `training` stage in [`DlInfMa::report`].
-    pub fn train_with_progress(
-        &mut self,
-        train: &[AddressId],
-        val: &[AddressId],
-        progress: &mut dyn FnMut(obs::EpochProgress),
-    ) -> TrainReport {
+    pub fn train(&mut self, train: &[AddressId], val: &[AddressId]) -> TrainReport {
         let collect = |ids: &[AddressId]| -> Vec<AddressSample> {
             ids.iter()
                 .filter_map(|a| self.samples.get(a).cloned())
@@ -187,8 +177,7 @@ impl DlInfMa {
         let val_samples = collect(val);
         let t = obs::Stopwatch::start();
         let mut model = LocMatcher::new(self.cfg.model);
-        let report =
-            model.train_pooled_with_progress(&train_samples, &val_samples, &self.exec, progress);
+        let report = model.train_pooled(&train_samples, &val_samples, &self.exec);
         self.report.push_stage(
             stage::TRAINING,
             t.elapsed_ns().max(1),

@@ -86,52 +86,19 @@ fn extract_trip(
 
 /// Extracts stay points for every trip sequentially.
 pub fn extract_stay_points(dataset: &Dataset, cfg: &ExtractionConfig) -> Vec<TripStays> {
-    extract_stay_points_with_stats(dataset, cfg).0
-}
-
-/// [`extract_stay_points`] plus funnel counts and per-phase timings.
-pub fn extract_stay_points_with_stats(
-    dataset: &Dataset,
-    cfg: &ExtractionConfig,
-) -> (Vec<TripStays>, ExtractionStats) {
-    let mut stats = ExtractionStats::default();
-    let out = dataset
-        .trips
-        .iter()
-        .map(|t| extract_trip(t, cfg, &mut stats))
-        .collect();
-    (out, stats)
-}
-
-/// Extracts stay points for every trip on the shared pool (trip-level
-/// parallelism, as deployed).
-pub fn extract_stay_points_parallel(
-    dataset: &Dataset,
-    cfg: &ExtractionConfig,
-    pool: &Pool,
-) -> Vec<TripStays> {
-    extract_stay_points_parallel_with_stats(dataset, cfg, pool).0
-}
-
-/// [`extract_stay_points_parallel`] plus funnel counts and per-phase
-/// timings. Phase times in [`ExtractionStats`] are summed across workers —
-/// they measure CPU work, not wall clock, when the pool has more than one
-/// thread; callers that report durations should pair them with their own
-/// wall-clock measurement of the whole call (the engine stores both in its
-/// stage report).
-pub fn extract_stay_points_parallel_with_stats(
-    dataset: &Dataset,
-    cfg: &ExtractionConfig,
-    pool: &Pool,
-) -> (Vec<TripStays>, ExtractionStats) {
-    extract_batch_with_stats(&dataset.trips, cfg, pool)
+    extract_batch_with_stats(&dataset.trips, cfg, &Pool::sequential()).0
 }
 
 /// Extracts stay points for an arbitrary slice of trips (one streamed
-/// [`TripBatch`](dlinfma_synth::TripBatch)'s worth) on the shared pool.
-/// Per-trip extraction is independent, so batching never changes the
-/// detected stays — the property the incremental engine's batch/streaming
-/// parity rests on.
+/// [`TripBatch`](dlinfma_synth::TripBatch)'s worth) on the shared pool
+/// (trip-level parallelism, as deployed). Per-trip extraction is
+/// independent, so batching never changes the detected stays — the
+/// property the incremental engine's batch/streaming parity rests on.
+/// Phase times in [`ExtractionStats`] are summed across workers — they
+/// measure CPU work, not wall clock, when the pool has more than one
+/// thread; callers that report durations should pair them with their own
+/// wall-clock measurement of the whole call (the engine stores both in its
+/// stage report).
 pub fn extract_batch_with_stats(
     trips: &[dlinfma_synth::DeliveryTrip],
     cfg: &ExtractionConfig,
@@ -215,7 +182,7 @@ mod tests {
         let (_, ds) = generate(Preset::DowBJ, Scale::Tiny, 0);
         let cfg = ExtractionConfig::paper_defaults();
         let seq = extract_stay_points(&ds, &cfg);
-        let par = extract_stay_points_parallel(&ds, &cfg, &Pool::new(4));
+        let (par, _) = extract_batch_with_stats(&ds.trips, &cfg, &Pool::new(4));
         assert_eq!(seq.len(), par.len());
         for (a, b) in seq.iter().zip(&par) {
             assert_eq!(a.trip, b.trip);

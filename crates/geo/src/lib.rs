@@ -11,18 +11,16 @@
 //! The crate also provides the spatial data structures the pipeline and the
 //! baselines rely on:
 //!
-//! * a uniform [`GridIndex`] for radius queries over large point sets,
-//! * a static [`KdTree`] for nearest-neighbour lookups,
+//! * a uniform [`GridIndex`] for radius and nearest-neighbour queries over
+//!   large point sets,
 //! * a [`BBox`] axis-aligned bounding box.
 
 pub mod bbox;
 pub mod grid;
-pub mod kdtree;
 pub mod latlng;
 pub mod point;
 
 pub use bbox::BBox;
 pub use grid::GridIndex;
-pub use kdtree::KdTree;
 pub use latlng::{LatLng, Projection};
 pub use point::{centroid, Point};

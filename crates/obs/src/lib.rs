@@ -49,8 +49,8 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, NonFiniteBound,
 };
 pub use report::{
-    stage, EpochProgress, FleetIngestReport, FunnelCounts, IngestReport, PipelineReport,
-    PoolReport, PoolWorkerReport, StageReport,
+    stage, FleetIngestReport, FunnelCounts, IngestReport, PipelineReport, PoolReport,
+    PoolWorkerReport, StageReport,
 };
 pub use span::{
     disable, enable, enabled, record_duration, render_spans, reset_spans, span, spans_snapshot,

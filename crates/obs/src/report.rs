@@ -70,20 +70,6 @@ pub struct FunnelCounts {
     pub samples_labelled: u64,
 }
 
-/// Progress snapshot for one training epoch, passed to the progress hook
-/// of `LocMatcher::train_with_progress`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpochProgress {
-    /// Zero-based epoch index.
-    pub epoch: usize,
-    /// Mean training loss over the epoch.
-    pub train_loss: f64,
-    /// Validation loss after the epoch.
-    pub val_loss: f64,
-    /// Whether this epoch improved on the best validation loss so far.
-    pub improved: bool,
-}
-
 /// Telemetry for one pool worker (or the caller helping a join), part of a
 /// [`PoolReport`]. All counts are cumulative over the report's window.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

@@ -170,6 +170,15 @@ impl Server {
         self.shared.stop.load(Ordering::Relaxed)
     }
 
+    /// Blocks until a stop is requested — by a client hitting
+    /// `GET /shutdown` — then shuts down as [`Server::shutdown`] does.
+    pub fn wait(&mut self) {
+        if let Some(h) = self.accept.take() {
+            let _ = h.join();
+        }
+        self.shutdown();
+    }
+
     /// Stops accepting, lets in-flight requests finish, and waits until
     /// every connection thread has exited. Idempotent.
     pub fn shutdown(&mut self) {

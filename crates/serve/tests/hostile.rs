@@ -220,7 +220,7 @@ fn shutdown_wakes_an_idle_keep_alive_client() {
 
 #[test]
 fn get_shutdown_closes_other_idle_clients() {
-    let server = start_server();
+    let mut server = start_server();
     let addr = server.addr();
     let mut idle = connect(addr);
     send(&mut idle, b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
@@ -232,4 +232,6 @@ fn get_shutdown_closes_other_idle_clients() {
     assert!(closed_by_server(&mut idle), "idle client not closed");
     assert_connect_refused_soon(addr);
     assert_eq!(server.stats().connections, 2, "wake-up connect counted");
+    // `wait` returns once a client asked to stop.
+    server.wait();
 }

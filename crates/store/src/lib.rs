@@ -3,16 +3,15 @@
 //! Deployment layer (Section VI): the delivery-location store and the two
 //! applications built on it.
 //!
-//! * [`kv`] — the concurrent address→location store with the deployed
-//!   fallback chain (address → building → geocode);
-//! * [`snapshot`] — immutable epoch-tagged snapshots of the same tables,
-//!   published via `Arc` swap for the always-on serving layer;
+//! * [`snapshot`] — the address→location store with the deployed fallback
+//!   chain (address → building → geocode): immutable epoch-tagged
+//!   snapshots frozen from a trained fleet and published via `Arc` swap
+//!   for the always-on serving layer;
 //! * [`route`] — Application 1: TSP route planning over inferred locations;
 //! * [`availability`] — Application 2: customer availability inference from
 //!   corrected delivery times.
 
 pub mod availability;
-pub mod kv;
 pub mod route;
 pub mod snapshot;
 
@@ -20,6 +19,5 @@ pub use availability::{
     availability_profiles, corrected_delivery_time, weekly_availability, AvailabilityProfile,
     WeeklyAvailability,
 };
-pub use kv::{DeliveryLocationStore, QuerySource};
 pub use route::{plan_route, Route};
-pub use snapshot::{LocationSnapshot, SnapshotCell};
+pub use snapshot::{LocationSnapshot, QuerySource, SnapshotCell};

@@ -1,11 +1,17 @@
-//! Immutable store snapshots for the serving layer.
+//! The delivery-location store (Section VI-A, Figure 14): immutable,
+//! epoch-tagged snapshots for the serving layer.
 //!
-//! The deployed service (Section VI) answers queries *while* courier data
-//! keeps arriving. [`crate::kv::DeliveryLocationStore`] already allows
-//! concurrent readers, but its refresh takes a write lock: a reader arriving
-//! mid-refresh blocks for the whole table rebuild. The serving layer instead
-//! publishes an immutable [`LocationSnapshot`] per materialize boundary and
-//! swaps an `Arc` inside a [`SnapshotCell`]:
+//! Inference runs offline; online queries hit a key-value store with the
+//! three-level fallback chain deployed at JD Logistics:
+//!
+//! 1. the address-level inferred location;
+//! 2. the *building-level* mostly-used delivery location (so brand-new
+//!    addresses in a known building still resolve);
+//! 3. the geocoded location.
+//!
+//! The deployed service answers queries *while* courier data keeps
+//! arriving. The serving layer publishes an immutable [`LocationSnapshot`]
+//! per materialize boundary and swaps an `Arc` inside a [`SnapshotCell`]:
 //!
 //! * **readers never block on ingest** — [`SnapshotCell::load`] clones an
 //!   `Arc` under a read lock held for nanoseconds; snapshot *construction*
@@ -14,12 +20,7 @@
 //!   build time and tagged with a monotonically increasing epoch when
 //!   published, so a reader holding one can answer any number of lookups
 //!   against a single coherent state and report which state that was.
-//!
-//! The lookup semantics are exactly the deployed fallback chain of
-//! [`crate::kv`]: address-level inference, then the building-level
-//! mostly-used location, then the geocode.
 
-use crate::kv::QuerySource;
 use dlinfma_core::ShardedEngine;
 use dlinfma_detcol::OrdMap;
 use dlinfma_geo::Point;
@@ -27,6 +28,17 @@ use dlinfma_synth::{AddressId, BuildingId};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Which fallback level answered a query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QuerySource {
+    /// Address-level inferred location.
+    Address,
+    /// Building-level mostly-used location.
+    Building,
+    /// Geocoded location.
+    Geocode,
+}
 
 /// The three query tables of a snapshot: address-level inferences,
 /// building-level votes, and the geocode universe.
@@ -81,8 +93,7 @@ impl LocationSnapshot {
     /// count. The epoch is stamped later, at [`SnapshotCell::publish`]
     /// time — one atomic swap for the merged snapshot, never per-shard.
     pub fn from_sharded(fleet: &ShardedEngine, days_ingested: u32) -> Self {
-        let (by_address, by_building, geocodes) =
-            Self::build_tables(fleet.addresses(), |a| fleet.infer(a));
+        let (by_address, by_building, geocodes) = Self::build_tables(fleet);
         let (healthy, anomalies) = fleet.shards().iter().fold((true, 0), |(h, n), e| {
             let r = e.health_report();
             (h && r.is_healthy(), n + r.anomalies().len())
@@ -101,20 +112,17 @@ impl LocationSnapshot {
         }
     }
 
-    /// The freeze rule shared by [`LocationSnapshot::from_sharded`] and
-    /// [`crate::kv::DeliveryLocationStore::refresh`]: address entries from
-    /// `infer`, building entries as the per-building mostly-used inferred
-    /// location with ~1 m vote quantization (ties go to the largest
-    /// quantized key), geocodes over the whole universe.
-    pub(crate) fn build_tables(
-        addresses: &[dlinfma_synth::Address],
-        infer: impl Fn(AddressId) -> Option<Point>,
-    ) -> SnapshotTables {
+    /// The freeze rule: address entries from [`ShardedEngine::infer`],
+    /// building entries as the per-building mostly-used inferred location
+    /// with ~1 m vote quantization (ties go to the largest quantized key),
+    /// geocodes over the whole universe.
+    fn build_tables(fleet: &ShardedEngine) -> SnapshotTables {
         type Votes = OrdMap<(i64, i64), (usize, Point)>;
+        let addresses = fleet.addresses();
         let mut by_address: HashMap<AddressId, Point> = HashMap::new();
         let mut building_votes: OrdMap<BuildingId, Votes> = OrdMap::new();
         for a in addresses {
-            if let Some(p) = infer(a.id) {
+            if let Some(p) = fleet.infer(a.id) {
                 by_address.insert(a.id, p);
                 let key = ((p.x * 1.0) as i64, (p.y * 1.0) as i64);
                 let slot = building_votes
@@ -288,7 +296,7 @@ impl SnapshotCell {
 mod tests {
     use super::*;
     use dlinfma_core::DlInfMaConfig;
-    use dlinfma_synth::{generate, replay, Preset, Scale};
+    use dlinfma_synth::{generate, replay, spatial_split, Preset, Scale, TripBatch};
 
     /// A hand-built snapshot: addresses 0..n map to `(k, k)`, buildings and
     /// geocodes filled so the chain is exercisable.
@@ -321,6 +329,40 @@ mod tests {
         let (p, src) = s.query(AddressId(2)).unwrap();
         assert_eq!((src, p.x), (QuerySource::Geocode, 3.0));
         assert!(s.query(AddressId(3)).is_none());
+    }
+
+    /// A trained 1-shard fleet's freeze answers through every level of the
+    /// chain, and freezing the same fleet twice gives the same answers.
+    #[test]
+    fn trained_fleet_freeze_serves_the_fallback_chain() {
+        let (_, ds) = generate(Preset::DowBJ, Scale::Tiny, 21);
+        let split = spatial_split(&ds, 0.6, 0.2);
+        let mut cfg = DlInfMaConfig::fast();
+        cfg.model.max_epochs = 5;
+        let mut fleet = ShardedEngine::new(ds.addresses.clone(), cfg, 1);
+        fleet.ingest(&TripBatch::full(&ds));
+        assert!(fleet.train_with(&ds, &split.train, &split.val) > 0);
+        let snap = LocationSnapshot::from_sharded(&fleet, fleet.days_ingested());
+        assert!(!snap.is_empty());
+
+        // A delivered address answers at address level.
+        let (_, src) = snap.query(ds.waybills[0].address).unwrap();
+        assert_eq!(src, QuerySource::Address);
+
+        // Undelivered addresses exist in a Tiny world, so at least one
+        // address answers at building or geocode level.
+        let lower = ds.addresses.iter().any(|a| {
+            matches!(
+                snap.query(a.id),
+                Some((_, QuerySource::Building | QuerySource::Geocode))
+            )
+        });
+        assert!(lower, "no address fell back below address level");
+
+        let again = LocationSnapshot::from_sharded(&fleet, fleet.days_ingested());
+        for a in &ds.addresses {
+            assert_eq!(again.query(a.id), snap.query(a.id), "{:?}", a.id);
+        }
     }
 
     #[test]

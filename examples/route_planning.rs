@@ -9,44 +9,43 @@
 //! cargo run --release --example route_planning
 //! ```
 
-use dlinfma::eval::ExperimentWorld;
+use dlinfma::core::ShardedEngine;
+use dlinfma::eval::pipeline_config;
 use dlinfma::geo::Point;
-use dlinfma::store::{plan_route, DeliveryLocationStore};
-use dlinfma::synth::{Preset, Scale};
+use dlinfma::store::{plan_route, LocationSnapshot};
+use dlinfma::synth::{generate, spatial_split, Preset, Scale, TripBatch};
 
 fn main() {
-    let mut world = ExperimentWorld::build(Preset::DowBJ, Scale::Tiny, 17);
-    let train = world.split.train.clone();
-    let val = world.split.val.clone();
-    world.dlinfma.train(&train, &val);
+    let (_, dataset) = generate(Preset::DowBJ, Scale::Tiny, 17);
+    let split = spatial_split(&dataset, 0.6, 0.2);
+    let mut fleet =
+        ShardedEngine::new(dataset.addresses.clone(), pipeline_config(Preset::DowBJ), 1);
+    fleet.ingest(&TripBatch::full(&dataset));
+    fleet.train_with(&dataset, &split.train, &split.val);
 
     // Deployment store with the fallback chain serves the planner.
-    let store = DeliveryLocationStore::new();
-    store.refresh(&world.dataset, &world.dlinfma);
+    let store = LocationSnapshot::from_sharded(&fleet, fleet.days_ingested());
 
     println!("Application 1: route planning for new couriers\n");
     let mut total_geo = 0.0;
     let mut total_inf = 0.0;
     let mut shown = 0;
-    for trip in world.dataset.trips.iter().take(10) {
+    for trip in dataset.trips.iter().take(10) {
         // The day's batch of addresses for this courier.
         let addrs: Vec<_> = trip
             .waybills
             .iter()
-            .map(|&wi| world.dataset.waybills[wi].address)
+            .map(|&wi| dataset.waybills[wi].address)
             .collect();
         if addrs.len() < 5 {
             continue;
         }
-        let depot = world.dataset.stations[trip.station.0 as usize].location;
+        let depot = dataset.stations[trip.station.0 as usize].location;
         let truth: Vec<Point> = addrs
             .iter()
-            .map(|&a| world.dataset.address(a).true_delivery_location)
+            .map(|&a| dataset.address(a).true_delivery_location)
             .collect();
-        let geocodes: Vec<Point> = addrs
-            .iter()
-            .map(|&a| world.dataset.address(a).geocode)
-            .collect();
+        let geocodes: Vec<Point> = addrs.iter().map(|&a| dataset.address(a).geocode).collect();
         let inferred: Vec<Point> = addrs
             .iter()
             .map(|&a| store.query(a).map(|(p, _)| p).unwrap_or(geocodes[0]))

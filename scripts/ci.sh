@@ -4,9 +4,10 @@
 # Offline-safe: pass --offline (or set CARGO_NET_OFFLINE=true) to forbid
 # network access; the build then uses only vendored/cached dependencies.
 #
-# --quick runs the short loop (build + test + in-tree lint) for inner-dev
-# iteration; the full run adds the replay smoke, the pipeline timing
-# artifact with its regression gate, rustfmt, and clippy.
+# --quick runs the short loop (build + benchmark build check + test +
+# in-tree lint) for inner-dev iteration; the full run adds the replay
+# smoke, the pipeline timing artifact with its regression gate, rustfmt,
+# and clippy.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -32,6 +33,11 @@ run() {
 }
 
 run cargo build --release --workspace "${CARGO_FLAGS[@]}"
+# The benchmark package (perfbench/, a workspace of its own) calls the
+# program's public entry points: check it still builds, so a moved or
+# renamed entry point fails here and not first in a benchmark run.
+# --locked never rewrites perfbench/Cargo.lock.
+run cargo check --locked --manifest-path perfbench/Cargo.toml --all-targets "${CARGO_FLAGS[@]}"
 run cargo test --workspace -q "${CARGO_FLAGS[@]}"
 # In-tree static analysis (NaN ordering, panic freedom, paper constants,
 # unpooled threads, and the L9-L12 determinism audit); offline-safe and
@@ -71,7 +77,7 @@ rm -rf SNAP_quick
 run cargo run --release -p dlinfma-cli "${CARGO_FLAGS[@]}" -- checkpoint --preset dowbj --scale tiny --snapshot-dir SNAP_quick
 
 if [[ $QUICK -eq 1 ]]; then
-    echo "ci: quick loop green (build + test + lint + 1-vs-2-shard replay + snapshot round trip)"
+    echo "ci: quick loop green (build + perfbench check + test + lint + 1-vs-2-shard replay + snapshot round trip)"
     exit 0
 fi
 

@@ -83,7 +83,6 @@ fn empty_dataset_end_to_end() {
     let mut engine = Engine::new(ds.addresses.clone(), DlInfMaConfig::fast());
     engine.ingest(&TripBatch::full(&ds));
     assert!(engine.pool().is_empty());
-    assert!(engine.pool().nearest(&Point::ZERO).is_none());
     assert!(engine.evidence(AddressId(0)).is_none());
     assert_eq!(engine.samples().count(), 0);
     let dlinfma = DlInfMa::prepare(&ds, DlInfMaConfig::fast());

@@ -1,9 +1,9 @@
 //! End-to-end integration: world generation → DLInfMA pipeline → deployment
 //! store → applications.
 
-use dlinfma::core::{DlInfMa, DlInfMaConfig};
-use dlinfma::store::{plan_route, DeliveryLocationStore, QuerySource};
-use dlinfma::synth::{generate, spatial_split, Preset, Scale};
+use dlinfma::core::{DlInfMa, DlInfMaConfig, ShardedEngine};
+use dlinfma::store::{plan_route, LocationSnapshot, QuerySource};
+use dlinfma::synth::{generate, spatial_split, Preset, Scale, TripBatch};
 
 #[test]
 fn full_pipeline_beats_geocoding_and_serves_the_store() {
@@ -11,19 +11,18 @@ fn full_pipeline_beats_geocoding_and_serves_the_store() {
     let split = spatial_split(&ds, 0.6, 0.2);
     let mut cfg = DlInfMaConfig::fast();
     cfg.model.max_epochs = 15;
-    let mut dlinfma = DlInfMa::prepare(&ds, cfg);
-    dlinfma.label_from_dataset(&ds);
-    let report = dlinfma.train(&split.train, &split.val);
-    assert!(report.epochs > 0);
-    assert!(report.best_val_loss.is_finite());
+    let mut fleet = ShardedEngine::new(ds.addresses.clone(), cfg, 1);
+    fleet.ingest(&TripBatch::full(&ds));
+    assert!(fleet.train_with(&ds, &split.train, &split.val) > 0);
 
     // Accuracy on the held-out spatial region.
     let mut err_model = 0.0;
     let mut err_geo = 0.0;
     for &a in &split.test {
         let gt = city.addresses[a.0 as usize].true_delivery_location;
-        err_model += dlinfma.infer_or_geocode(&ds, a).distance(&gt);
-        err_geo += ds.address(a).geocode.distance(&gt);
+        let geocode = ds.address(a).geocode;
+        err_model += fleet.infer(a).unwrap_or(geocode).distance(&gt);
+        err_geo += geocode.distance(&gt);
     }
     assert!(
         err_model < err_geo,
@@ -33,8 +32,7 @@ fn full_pipeline_beats_geocoding_and_serves_the_store() {
     );
 
     // The deployment store answers through the fallback chain.
-    let store = DeliveryLocationStore::new();
-    store.refresh(&ds, &dlinfma);
+    let store = LocationSnapshot::from_sharded(&fleet, fleet.days_ingested());
     assert!(!store.is_empty());
     let delivered = ds.waybills[0].address;
     let (_, src) = store.query(delivered).expect("known address");
@@ -89,7 +87,7 @@ fn route_planning_over_inferred_locations_tracks_reality_better() {
 #[test]
 fn incremental_pool_supports_the_same_pipeline() {
     use dlinfma::core::Engine;
-    use dlinfma::synth::{replay, TripBatch};
+    use dlinfma::synth::replay;
     let (_, ds) = generate(Preset::SubBJ, Scale::Tiny, 102);
     // Periodic regeneration: the engine ingests 2-day batches (at tiny
     // scale, to force several batches) and grows its pool incrementally.
